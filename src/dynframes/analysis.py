@@ -1,8 +1,8 @@
 """Frame-theoretic analysis of orbit systems: bounds, completeness, Carleson.
 
-The eigensolver here is a cyclic-by-row complex Jacobi iteration written for
-Hermitian input; the stock LAPACK path is deliberately not used so that tests
-can play the two against each other.
+Frame bounds are the extreme eigenvalues of the Hermitian Gram, computed by
+LAPACK through ``numpy.linalg.eigvalsh``. The tests check them against an
+independent cyclic Jacobi solver.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NoConvergence, NonHermitian
+from .errors import DimensionMismatch, DomainError
 from .gram import DiscreteGram, SemiContGram, _check_hermitian
 from .spectral import (
     SpectralOperator,
@@ -28,14 +28,11 @@ from .spectral import (
 
 __all__ = [
     "FRAME",
-    "BESSEL_ONLY",
     "INCOMPLETE",
-    "NOT_BESSEL",
     "FrameReport",
     "GroupRank",
     "CompletenessCertificate",
     "CarlesonReport",
-    "jacobi_eigh",
     "frame_bounds",
     "completeness_check",
     "brute_force_completeness",
@@ -46,20 +43,12 @@ __all__ = [
 ]
 
 FRAME = "frame"
-BESSEL_ONLY = "bessel_only"
 INCOMPLETE = "incomplete"
-NOT_BESSEL = "not_bessel"
 
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Extreme eigenvalues of a Gram matrix plus the resulting verdict.
-
-    ``bessel_only`` and ``not_bessel`` are kept for interchange completeness;
-    a finite Hermitian Gram always has a finite upper bound, and a positive
-    lower bound makes it a frame, so those two values are unreachable from
-    this code path.
-    """
+    """Extreme eigenvalues of a Gram matrix plus the resulting verdict."""
 
     lower: float
     upper: float
@@ -121,80 +110,6 @@ class CarlesonReport:
         }
 
 
-def jacobi_eigh(
-    H: np.ndarray, want_vectors: bool = True, tol_factor: float = 1e-12,
-    max_sweeps: int = 60,
-):
-    """Eigendecomposition of a Hermitian matrix by cyclic-by-row Jacobi.
-
-    Returns (eigenvalues ascending, eigenvector columns or None). Sweeps stop
-    once the largest off-diagonal modulus falls below tol_factor times the
-    largest initial modulus.
-    """
-    A = np.asarray(H, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch("eigensolver needs a square matrix")
-    _check_hermitian(A, "eigensolver input")
-    d = A.shape[0]
-    A = 0.5 * (A + A.conj().T)
-    V = np.eye(d, dtype=np.complex128) if want_vectors else None
-
-    scale = float(np.max(np.abs(A))) if d else 0.0
-    if scale == 0.0 or d == 1:
-        w = A.diagonal().real.copy()
-        order = np.argsort(w, kind="stable")
-        return w[order], (V[:, order] if want_vectors else None)
-    threshold = tol_factor * scale
-
-    for _ in range(max_sweeps):
-        off = np.abs(A - np.diag(A.diagonal()))
-        if float(off.max()) <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                absa = abs(apq)
-                if absa == 0.0:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                u = apq / absa
-                tau = (aqq - app) / (2.0 * absa)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ubar = np.conj(u)
-
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = c * colp - ubar * s * colq
-                A[:, q] = s * colp + ubar * c * colq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = c * rowp - u * s * rowq
-                A[q, :] = s * rowp + u * c * rowq
-                A[p, p] = app - t * absa
-                A[q, q] = aqq + t * absa
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                if want_vectors:
-                    vp = V[:, p].copy()
-                    vq = V[:, q].copy()
-                    V[:, p] = c * vp - ubar * s * vq
-                    V[:, q] = s * vp + ubar * c * vq
-
-    off = np.abs(A - np.diag(A.diagonal()))
-    if float(off.max()) > threshold:
-        raise NoConvergence(
-            f"jacobi sweep budget exhausted at off-diagonal {off.max():.3e}"
-        )
-
-    w = A.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], (V[:, order] if want_vectors else None)
-
-
 def _unwrap_gram(S) -> tuple:
     if isinstance(S, SemiContGram):
         return S.matrix, S.method
@@ -215,7 +130,9 @@ def frame_bounds(S) -> FrameReport:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("gram matrix must be square")
     _check_hermitian(M, "frame_bounds input")
-    w, _ = jacobi_eigh(M, want_vectors=False)
+    # the Hermitian part, so the bounds do not depend on which triangle
+    # LAPACK reads when M carries rounding-level asymmetry
+    w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
     lower = float(w[0])
     upper = float(w[-1])
     if lower < -1e-9 * max(1.0, abs(upper)):
@@ -236,7 +153,7 @@ def frame_bounds(S) -> FrameReport:
         upper=upper,
         classification=classification,
         dimension=M.shape[0],
-        method=f"cyclic_jacobi/{src}",
+        method=f"eigvalsh/{src}",
         condition_number=cond,
     )
 

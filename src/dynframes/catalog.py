@@ -38,8 +38,8 @@ class CatalogEntry:
     claim: str
     runner: Callable
 
-    def run(self, d: int = 64, L: Optional[float] = None, seed: int = 0):
-        return self.runner(d=d, L=L, seed=seed)
+    def run(self, d: int = 64, L: Optional[float] = None):
+        return self.runner(d=d, L=L)
 
 
 def gap_pair_system(eps: float):
@@ -96,7 +96,7 @@ def gaussian_decay_system(d: int):
 # entry runners
 
 
-def _run_frlrbd(d: int, L: Optional[float], seed: int):
+def _run_frlrbd(d: int, L: Optional[float]):
     L = 1.0 if L is None else float(L)
     ok = True
     lines = []
@@ -132,7 +132,7 @@ def _run_frlrbd(d: int, L: Optional[float], seed: int):
     return ok, lines
 
 
-def _run_4_4(d: int, L: Optional[float], seed: int):
+def _run_4_4(d: int, L: Optional[float]):
     L = 1.0 if L is None else float(L)
     A, G, f = gaussian_decay_system(d)
     measured = bessel_sum(A, G, L, f)
@@ -169,7 +169,7 @@ def _run_4_4(d: int, L: Optional[float], seed: int):
     return ok, lines
 
 
-def _run_5_2(d: int, L: Optional[float], seed: int):
+def _run_5_2(d: int, L: Optional[float]):
     L = 1.0 if L is None else float(L)
     A, G = decaying_reciprocal_system(d)
     result = find_discretization(A, G, L, target_ratio=0.9)
@@ -196,7 +196,7 @@ def _run_5_2(d: int, L: Optional[float], seed: int):
     return ok, lines
 
 
-def _run_5_3(d: int, L: Optional[float], seed: int):
+def _run_5_3(d: int, L: Optional[float]):
     L = 1.0 if L is None else float(L)
     A, G = decaying_reciprocal_system(d)
     S = semicont_gram(A, G, L).matrix
@@ -219,7 +219,7 @@ def _run_5_3(d: int, L: Optional[float], seed: int):
     return ok, lines
 
 
-def _run_5_4(d: int, L: Optional[float], seed: int):
+def _run_5_4(d: int, L: Optional[float]):
     L = 1.0 if L is None else float(L)
     A, G = two_level_overlap_system(d)
     rep = frame_bounds(semicont_gram(A, G, L))
@@ -238,7 +238,7 @@ def _run_5_4(d: int, L: Optional[float], seed: int):
     return ok, lines
 
 
-def _run_5_5(d: int, L: Optional[float], seed: int):
+def _run_5_5(d: int, L: Optional[float]):
     L = 2.0 if L is None else float(L)
     A, G = shifted_pair_system(d)
     zero_only = frame_bounds(discrete_gram(A, G, TimeGrid(np.array([0.0]), L)))
@@ -311,10 +311,10 @@ def repro_catalog() -> list:
     return list(_ENTRIES)
 
 
-def run_entry(name: str, d: int = 64, L: Optional[float] = None, seed: int = 0):
+def run_entry(name: str, d: int = 64, L: Optional[float] = None):
     """Run one catalog entry by name; returns (passed, lines)."""
     for entry in _ENTRIES:
         if entry.name == name:
-            return entry.run(d=d, L=L, seed=seed)
+            return entry.run(d=d, L=L)
     known = ", ".join(e.name for e in _ENTRIES)
     raise KeyError(f"unknown catalog entry {name!r}; known entries: {known}")

@@ -3,8 +3,9 @@
 Exit codes: 0 when the requested analysis computed a positive answer, 2 when
 it computed a negative classification (not a frame, incomplete, not
 frameable), 1 for genuine errors (unreadable input, domain violations,
-solver failures). The environment variable DYNSAMP_TOL overrides both the
-eigenvalue grouping tolerance and the relative rank cutoff.
+searches that run out of budget). The environment variable DYNSAMP_TOL
+overrides both the eigenvalue grouping tolerance and the relative rank
+cutoff.
 """
 
 from __future__ import annotations
@@ -280,7 +281,6 @@ def _cmd_reconstruct(config: RunConfig) -> int:
     n_times = config.options.get("times", 32)
     noise = config.options.get("noise", 0.0)
     mode = config.options.get("mode", "unweighted")
-    solver = config.options.get("solver", "cg")
     rng = np.random.default_rng(config.seed)
     truth = rng.normal(size=A.dimension) + 1j * rng.normal(size=A.dimension)
     grid = TimeGrid.uniform(n_times, config.L)
@@ -291,8 +291,7 @@ def _cmd_reconstruct(config: RunConfig) -> int:
             type(rec)(rec.generator_index, rec.time, rec.value + noise * z)
             for rec, z in zip(records, jitter)
         ]
-    result = reconstruct(A, G, records, mode=mode, L=config.L, solver=solver,
-                         truth=truth)
+    result = reconstruct(A, G, records, mode=mode, L=config.L, truth=truth)
     table = [
         f"samples: {len(records)} ({len(G)} generators x {n_times} times)",
         f"noise sigma: {noise:g}",
@@ -338,8 +337,7 @@ def _cmd_repro(config: RunConfig) -> int:
     results = []
     for nm in names:
         try:
-            ok, lines = run_entry(nm, d=config.truncation, L=config.L,
-                                  seed=config.seed)
+            ok, lines = run_entry(nm, d=config.truncation, L=config.L)
         except KeyError as exc:
             raise CLIError(str(exc.args[0])) from None
         all_ok = all_ok and ok
@@ -430,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", type=float, default=0.0)
     sp.add_argument("--mode", choices=("unweighted", "riemann"),
                     default="unweighted")
-    sp.add_argument("--solver", choices=("cg", "direct"), default="cg")
 
     sp = sub.add_parser("repro", help="run built-in reproductions")
     sp.add_argument("name", nargs="?", default=None)
@@ -441,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", dest="output_format", default="table",
                     choices=("table", "json", "csv"))
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -459,7 +455,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     }
     options = {}
     for key in ("method", "panels", "target_ratio", "max_points", "times",
-                "noise", "mode", "solver", "name", "all", "list", "lengths"):
+                "noise", "mode", "name", "all", "list", "lengths"):
         if hasattr(args, key):
             options[key] = getattr(args, key)
     return RunConfig(options=options, **base)

@@ -31,7 +31,3 @@ class DiscreteNotFrame(DynFramesError):
 
 class NoConvergence(DynFramesError):
     """An iterative search exhausted its budget without meeting its target."""
-
-
-class SolverStall(DynFramesError):
-    """The linear solver stopped progressing before reaching tolerance."""

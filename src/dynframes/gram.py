@@ -44,6 +44,10 @@ _HERMITIAN_TOL = 1e-8
 
 
 def _check_hermitian(S: np.ndarray, label: str) -> None:
+    if not np.isfinite(S).all():
+        raise DomainError(
+            f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
+        )
     scale = max(1.0, float(np.max(np.abs(S))) if S.size else 1.0)
     asym = float(np.max(np.abs(S - S.conj().T)))
     if asym > _HERMITIAN_TOL * scale:

@@ -3,9 +3,11 @@
 Measurements are <A^t f, g> = <f, (A^t)* g>, so the synthesis side works
 with the conjugate-power orbit: the normal equations use the Gram of
 {(A^t)* g : g in G, t in T} and the right-hand side sums the sampled values
-against those vectors. Note (A^t)* is built by conjugating the principal
-powers of the eigenvalues; it differs from (A*)^t on the negative real
-axis, where conjugation does not flip the branch argument -pi.
+against those vectors. Once ``frame_bounds`` has found that Gram to be a
+frame operator, one direct LAPACK solve gives the state. Note (A^t)* is
+built by conjugating the principal powers of the eigenvalues; it differs
+from (A*)^t on the negative real axis, where conjugation does not flip the
+branch argument -pi.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame, SolverStall
-from .analysis import FRAME, frame_bounds, jacobi_eigh
+from .errors import DimensionMismatch, NotAFrame
+from .analysis import FRAME, frame_bounds
 from .gram import TimeGrid
 from .spectral import (
     SpectralOperator,
@@ -59,7 +61,7 @@ class SampleRecord:
 class ReconstructionResult:
     estimate: np.ndarray
     residual: float
-    solver_iterations: int
+    solver_iterations: int = 0  # the solve is direct; kept for existing readers
 
     def __post_init__(self):
         est = np.asarray(self.estimate, dtype=np.complex128).reshape(-1)
@@ -88,39 +90,12 @@ def sample(A: SpectralOperator, G: VectorSet, f: np.ndarray, T: TimeGrid) -> lis
     return records
 
 
-def _conjugate_gradient(S: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
-    x = np.zeros_like(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x, 0, 0.0
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r).real)
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        Sp = S @ p
-        denom = float(np.vdot(p, Sp).real)
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * Sp
-        rs_next = float(np.vdot(r, r).real)
-        if math.sqrt(rs_next) / bnorm <= tol:
-            return x, iters, math.sqrt(rs_next) / bnorm
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-    relres = float(np.linalg.norm(S @ x - b)) / bnorm
-    return x, iters, relres
-
-
 def reconstruct(
     A: SpectralOperator,
     G: VectorSet,
     samples: Sequence[SampleRecord],
     mode: str = "unweighted",
     L: Optional[float] = None,
-    solver: str = "cg",
     truth: Optional[np.ndarray] = None,
 ) -> ReconstructionResult:
     """Solve the normal equations of the sampling map.
@@ -129,15 +104,12 @@ def reconstruct(
     mode="riemann" the terms are weighted by left-rule panel widths, which
     needs the window length L. When ``truth`` is supplied the reported
     residual is the relative error against it; otherwise it is the relative
-    normal-equation residual. ``solver`` is "cg" (default) or "direct".
+    normal-equation residual.
 
-    Raises NotAFrame when the sampled system cannot determine the state and
-    SolverStall when conjugate gradients runs out of budget unconverged.
+    Raises NotAFrame when the sampled system cannot determine the state.
     """
     if mode not in ("unweighted", "riemann"):
         raise ValueError(f"unknown mode {mode!r}")
-    if solver not in ("cg", "direct"):
-        raise ValueError(f"unknown solver {solver!r}")
     if not samples:
         raise ValueError("no samples given")
     m = len(G)
@@ -185,22 +157,7 @@ def reconstruct(
             f"sampled system lower bound {report.lower:.3e} is below tolerance"
         )
 
-    if solver == "direct":
-        w, V = jacobi_eigh(S_hat)
-        x_hat = V @ ((V.conj().T @ b_hat) / w)
-        iters = 0
-        relres = float(np.linalg.norm(S_hat @ x_hat - b_hat))
-        relres /= max(float(np.linalg.norm(b_hat)), 1e-300)
-    else:
-        cap = 10 * A.dimension
-        x_hat, iters, relres = _conjugate_gradient(
-            S_hat, b_hat, tol=1e-10, max_iter=cap
-        )
-        if iters >= cap and relres > 1e-6:
-            raise SolverStall(
-                f"cg stalled at relative residual {relres:.3e} after {iters} "
-                f"iterations (condition number {report.condition_number:.3e})"
-            )
+    x_hat = np.linalg.solve(S_hat, b_hat)
     x = A.from_eigenbasis(x_hat)
 
     if truth is not None:
@@ -209,8 +166,9 @@ def reconstruct(
             raise DimensionMismatch("truth vector has the wrong length")
         residual = float(np.linalg.norm(x - tv) / max(np.linalg.norm(tv), 1e-300))
     else:
-        residual = relres
-    return ReconstructionResult(estimate=x, residual=residual, solver_iterations=iters)
+        residual = float(np.linalg.norm(S_hat @ x_hat - b_hat))
+        residual /= max(float(np.linalg.norm(b_hat)), 1e-300)
+    return ReconstructionResult(estimate=x, residual=residual)
 
 
 def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:

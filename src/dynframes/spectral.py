@@ -401,11 +401,11 @@ def operator_from_dict(data: dict) -> SpectralOperator:
     if not isinstance(data, dict):
         raise ValueError("operator document must be a JSON object")
     try:
-        d = int(data["dimension"])
         raw = data["eigenvalues"]
     except KeyError as exc:
         raise ValueError(f"operator document missing key {exc}") from None
     lam = np.array([pair_to_complex(p) for p in raw], dtype=np.complex128)
+    d = int(data.get("dimension", lam.size))
     if lam.size != d:
         raise ValueError(
             f"dimension field is {d} but {lam.size} eigenvalues were given"
@@ -438,12 +438,12 @@ def vectors_from_dict(data: dict) -> VectorSet:
     if not isinstance(data, dict):
         raise ValueError("vector document must be a JSON object")
     try:
-        d = int(data["dimension"])
         raw = data["vectors"]
     except KeyError as exc:
         raise ValueError(f"vector document missing key {exc}") from None
     if not raw:
         raise ValueError("vector document contains no vectors")
+    d = int(data.get("dimension", len(raw[0])))
     rows = []
     for i, vec in enumerate(raw):
         if len(vec) != d:

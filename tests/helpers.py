@@ -1,7 +1,11 @@
-"""Shared random-system builders and quadrature oracles for the tests."""
+"""Shared random-system builders and the quadrature and eigen oracles."""
+
+import math
 
 import numpy as np
 
+from dynframes.errors import DimensionMismatch, NoConvergence
+from dynframes.gram import _check_hermitian
 from dynframes.spectral import SpectralOperator, VectorSet, branch_argument
 
 
@@ -74,3 +78,79 @@ def simpson_pair_integral(lam, mu, L, panels=1 << 14):
     log_mu = np.log(abs(mu)) + 1j * branch_argument(mu)
     vals = np.exp(t * log_lam) * np.conj(np.exp(t * log_mu))
     return simpson_quadrature(vals, L)
+
+
+def jacobi_eigh(
+    H: np.ndarray, want_vectors: bool = True, tol_factor: float = 1e-12,
+    max_sweeps: int = 60,
+):
+    """Eigendecomposition of a Hermitian matrix by cyclic-by-row Jacobi.
+
+    The oracle that ``frame_bounds``' LAPACK route is tested against.
+
+    Returns (eigenvalues ascending, eigenvector columns or None). Sweeps stop
+    once the largest off-diagonal modulus falls below tol_factor times the
+    largest initial modulus.
+    """
+    A = np.asarray(H, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch("eigensolver needs a square matrix")
+    _check_hermitian(A, "eigensolver input")
+    d = A.shape[0]
+    A = 0.5 * (A + A.conj().T)
+    V = np.eye(d, dtype=np.complex128) if want_vectors else None
+
+    scale = float(np.max(np.abs(A))) if d else 0.0
+    if scale == 0.0 or d == 1:
+        w = A.diagonal().real.copy()
+        order = np.argsort(w, kind="stable")
+        return w[order], (V[:, order] if want_vectors else None)
+    threshold = tol_factor * scale
+
+    for _ in range(max_sweeps):
+        off = np.abs(A - np.diag(A.diagonal()))
+        if float(off.max()) <= threshold:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = A[p, q]
+                absa = abs(apq)
+                if absa == 0.0:
+                    continue
+                app = A[p, p].real
+                aqq = A[q, q].real
+                u = apq / absa
+                tau = (aqq - app) / (2.0 * absa)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                ubar = np.conj(u)
+
+                colp = A[:, p].copy()
+                colq = A[:, q].copy()
+                A[:, p] = c * colp - ubar * s * colq
+                A[:, q] = s * colp + ubar * c * colq
+                rowp = A[p, :].copy()
+                rowq = A[q, :].copy()
+                A[p, :] = c * rowp - u * s * rowq
+                A[q, :] = s * rowp + u * c * rowq
+                A[p, p] = app - t * absa
+                A[q, q] = aqq + t * absa
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+
+                if want_vectors:
+                    vp = V[:, p].copy()
+                    vq = V[:, q].copy()
+                    V[:, p] = c * vp - ubar * s * vq
+                    V[:, q] = s * vp + ubar * c * vq
+
+    off = np.abs(A - np.diag(A.diagonal()))
+    if float(off.max()) > threshold:
+        raise NoConvergence(
+            f"jacobi sweep budget exhausted at off-diagonal {off.max():.3e}"
+        )
+
+    w = A.diagonal().real.copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], (V[:, order] if want_vectors else None)

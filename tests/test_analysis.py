@@ -12,7 +12,6 @@ from dynframes.analysis import (
     carleson_check,
     completeness_check,
     frame_bounds,
-    jacobi_eigh,
     multiplier_bounds,
 )
 from dynframes.errors import DimensionMismatch, DomainError, NonHermitian
@@ -21,6 +20,7 @@ from dynframes.reconstruct import heat_cycle_operator
 from dynframes.spectral import SpectralOperator, VectorSet, power_integral
 from dynframes.catalog import decaying_reciprocal_system, gaussian_decay_system
 from helpers import (
+    jacobi_eigh,
     random_normal_operator,
     random_self_adjoint_operator,
     random_unitary,
@@ -35,7 +35,7 @@ def random_hermitian(rng, d, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# eigensolver
+# the Jacobi oracle, and frame_bounds against it
 
 
 def test_jacobi_matches_lapack_on_random_hermitian():
@@ -74,6 +74,27 @@ def test_jacobi_complex_phase_handling():
     np.testing.assert_allclose(w, ref, atol=1e-12)
 
 
+def test_frame_bounds_agrees_with_jacobi_oracle():
+    # closed-form and discrete Grams of random systems in random eigenbases:
+    # LAPACK's extreme eigenvalues must match the independent Jacobi sweeps
+    rng = np.random.default_rng(61)
+    for k in range(40):
+        d = int(rng.integers(1, 13))
+        A = random_normal_operator(rng, d, max_mod=2.0)
+        G = random_vectors(rng, int(rng.integers(1, 4)), d)
+        L = float(rng.uniform(0.25, 2.0))
+        if k % 2:
+            T = TimeGrid.uniform(int(rng.integers(1, 3 * d + 2)), L)
+            gram = discrete_gram(A, G, T)
+        else:
+            gram = semicont_gram(A, G, L)
+        rep = frame_bounds(gram)
+        w, _ = jacobi_eigh(gram.matrix, want_vectors=False)
+        assert rep.method.startswith("eigvalsh/")
+        assert rep.upper == pytest.approx(w[-1], abs=1e-10 * w[-1])
+        assert rep.lower == pytest.approx(max(w[0], 0.0), abs=1e-10 * w[-1])
+
+
 # ---------------------------------------------------------------------------
 # frame bounds
 
@@ -87,7 +108,7 @@ def test_frame_bounds_identity_window():
     assert rep.classification == FRAME
     assert rep.condition_number == pytest.approx(1.0, abs=1e-12)
     assert rep.dimension == 4
-    assert rep.method == "cyclic_jacobi/closed_form"
+    assert rep.method == "eigvalsh/closed_form"
 
 
 def test_frame_bounds_decaying_diagonal_closed_form():
@@ -107,7 +128,7 @@ def test_frame_bounds_incomplete_system():
     assert rep.classification == INCOMPLETE
     assert rep.lower <= 1e-12
     assert math.isinf(rep.condition_number)
-    assert rep.method == "cyclic_jacobi/discrete"
+    assert rep.method == "eigvalsh/discrete"
 
 
 def test_frame_bounds_rejects_bad_input():
@@ -115,6 +136,17 @@ def test_frame_bounds_rejects_bad_input():
         frame_bounds(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         frame_bounds(-np.eye(3))
+
+
+def test_overflowed_gram_raises_domain_error():
+    # 3^(2L) overflows at L = 400; the Gram must not reach the eigensolver,
+    # which would read the inf/NaN entries as a finite indefinite matrix
+    A = SpectralOperator(np.array([3.0, 0.5], dtype=complex))
+    G = VectorSet(np.array([[1.0, 1.0]], dtype=complex))
+    with pytest.raises(DomainError, match="non-finite"):
+        frame_bounds(semicont_gram(A, G, 400.0))
+    with pytest.raises(DomainError, match="non-finite"):
+        frame_bounds(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_frame_bounds_unitary_invariance():

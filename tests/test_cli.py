@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +84,31 @@ def test_analyze_negative_classification_exit_code(incomplete_files, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "incomplete" in out
+
+
+def test_analyze_overflowed_gram_exit_code(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    vec = tmp_path / "vec.json"
+    save_operator(SpectralOperator(np.array([3.0, 0.5], dtype=complex)), op)
+    save_vectors(VectorSet(np.array([[1.0, 1.0]], dtype=complex)), vec)
+    code = main(["analyze", "--op", str(op), "--vectors", str(vec), "--L", "400"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_readme_file_format_examples_load(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### File formats", 1)[1]
+    op_doc, vec_doc = re.findall(r"```json\n(.*?)```", section, flags=re.S)[:2]
+    op = tmp_path / "op.json"
+    vec = tmp_path / "gens.json"
+    op.write_text(op_doc, encoding="utf-8")
+    vec.write_text(vec_doc, encoding="utf-8")
+    code = main(["complete", "--op", str(op), "--vectors", str(vec), "--format", "json"])
+    blob = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert blob["complete"] is True
 
 
 def test_analyze_out_file(identity_files, tmp_path, capsys):
@@ -316,11 +343,11 @@ def test_catalog_names_are_stable():
 
 def test_all_catalog_entries_pass():
     for entry in repro_catalog():
-        ok, lines = run_entry(entry.name, d=64, L=None, seed=0)
+        ok, lines = run_entry(entry.name, d=64, L=None)
         assert ok, f"{entry.name} failed:\n" + "\n".join(lines)
         assert lines
 
 
 def test_run_entry_unknown_raises_key_error():
     with pytest.raises(KeyError):
-        run_entry("missing", d=8, L=None, seed=0)
+        run_entry("missing", d=8, L=None)

@@ -338,8 +338,23 @@ def test_json_validation_errors():
     with pytest.raises(ValueError):
         operator_from_dict({"dimension": 2, "eigenvalues": [[1.0, 0.0]]})
     with pytest.raises(ValueError):
-        operator_from_dict({"eigenvalues": [[1.0, 0.0]]})
+        operator_from_dict({"dimension": 1})
     with pytest.raises(ValueError):
         vectors_from_dict({"dimension": 2, "vectors": [[[1.0, 0.0]]]})
     with pytest.raises(ValueError):
         vectors_from_dict({"dimension": 2, "vectors": []})
+
+
+def test_json_dimension_is_optional():
+    # without "dimension" the eigenvalue count or the first vector's length
+    # sets it; a stated dimension must still match the data
+    A = operator_from_dict({"eigenvalues": [[1.0, 0.0], [0.5, 0.0]], "eigenbasis": None})
+    assert A.dimension == 2
+    G = vectors_from_dict({"vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    assert G.dimension == 2 and len(G) == 2
+    with pytest.raises(ValueError, match="length 1, expected 2"):
+        vectors_from_dict({"vectors": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]})
+    with pytest.raises(ValueError, match="dimension field is 3"):
+        operator_from_dict({"dimension": 3, "eigenvalues": [[1.0, 0.0], [0.5, 0.0]]})
+    with pytest.raises(ValueError, match="expected 3"):
+        vectors_from_dict({"dimension": 3, "vectors": [[[1.0, 0.0], [0.0, 0.0]]]})
