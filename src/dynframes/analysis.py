@@ -19,10 +19,10 @@ from .spectral import (
     SpectralOperator,
     TimeInterval,
     VectorSet,
+    _power_integrals,
     apply_power_batch,
     group_eigenspaces,
     pair_integral,
-    power_integral,
     rank_tolerance_factor,
 )
 
@@ -189,10 +189,6 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     group's eigenspace. Rank decisions use a pivoted Gram-Schmidt with a
     relative cutoff.
     """
-    if A.dimension != G.dimension:
-        raise DimensionMismatch(
-            f"generators live in C^{G.dimension} but the operator acts on C^{A.dimension}"
-        )
     ghat = A.to_eigenbasis(G.vectors)
     rel = rank_tolerance_factor()
     entries = []
@@ -230,28 +226,21 @@ def brute_force_completeness(
     return rank == d
 
 
-def bessel_check_fd(A: SpectralOperator, G: VectorSet) -> tuple:
-    """Finite families are always Bessel; returns (True, energy on range(A)).
+def bessel_check_fd(A: SpectralOperator, G: VectorSet) -> float:
+    """Generator energy on range(A); finite families are always Bessel.
 
-    The reported number is the total squared norm of the generator
+    The returned number is the total squared norm of the generator
     projections onto the span of eigenvectors with nonnegligible eigenvalue
     (the part of the space the orbit can actually see).
     """
-    if A.dimension != G.dimension:
-        raise DimensionMismatch(
-            f"generators live in C^{G.dimension} but the operator acts on C^{A.dimension}"
-        )
     mask = np.abs(A.eigenvalues) > A.tolerance
     ghat = A.to_eigenbasis(G.vectors)
-    energy = float(np.sum(np.abs(ghat[:, mask]) ** 2))
-    return True, energy
+    return float(np.sum(np.abs(ghat[:, mask]) ** 2))
 
 
 def bessel_upper_constant(A: SpectralOperator, L: float) -> float:
     """Closed-form Bessel scaling: integral of ||A||^{2t} over [0, L]."""
     nrm = A.operator_norm
-    if nrm == 0.0:
-        return 0.0
     return pair_integral(nrm, nrm, L).real
 
 
@@ -261,9 +250,8 @@ def multiplier_bounds(A: SpectralOperator, L: float) -> tuple:
     ell is the clipped window min(L, 1/2); the returned pair (m, M) brackets
     the modulus of the averaging multiplier on every eigenvalue.
     """
-    ell = TimeInterval(L).ell
-    vals = [abs(power_integral(z, ell)) for z in A.eigenvalues]
-    return min(vals), max(vals)
+    vals = np.abs(_power_integrals(A.eigenvalues, TimeInterval(L).ell))
+    return float(vals.min()), float(vals.max())
 
 
 def carleson_check(

@@ -38,9 +38,6 @@ class CatalogEntry:
     claim: str
     runner: Callable
 
-    def run(self, d: int = 64, L: Optional[float] = None):
-        return self.runner(d=d, L=L)
-
 
 def gap_pair_system(eps: float):
     """2x2 diagonal operator diag(1, 1-eps) with the single generator (1, 1)."""
@@ -315,6 +312,6 @@ def run_entry(name: str, d: int = 64, L: Optional[float] = None):
     """Run one catalog entry by name; returns (passed, lines)."""
     for entry in _ENTRIES:
         if entry.name == name:
-            return entry.run(d=d, L=L)
+            return entry.runner(d=d, L=L)
     known = ", ".join(e.name for e in _ENTRIES)
     raise KeyError(f"unknown catalog entry {name!r}; known entries: {known}")

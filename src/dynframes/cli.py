@@ -1,5 +1,9 @@
 """Command line front end.
 
+Each subcommand's parser names its handler (``set_defaults(handler=...)``),
+and the handler reads the parsed argparse namespace directly. Only
+``reconstruct`` draws random numbers, so only it takes ``--seed``.
+
 Exit codes: 0 when the requested analysis computed a positive answer, 2 when
 it computed a negative classification (not a frame, incomplete, not
 frameable), 1 for genuine errors (unreadable input, domain violations,
@@ -15,8 +19,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -42,32 +44,15 @@ from .gram import TimeGrid, quadrature_gram, semicont_gram
 from .reconstruct import reconstruct, sample
 from .spectral import load_operator, load_vectors
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
 class CLIError(Exception):
     """Input problems reported with file context; always exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; ``options`` holds per-command extras."""
-
-    command: str
-    operator_path: Optional[str] = None
-    vectors_path: Optional[str] = None
-    L: Optional[float] = None
-    truncation: int = 64
-    output_format: str = "table"
-    seed: int = 0
-    out: Optional[str] = None
-    options: dict = field(default_factory=dict)
-
-
-def _load_inputs(config: RunConfig):
+def _load_inputs(args: argparse.Namespace):
     def read(path, loader, kind):
-        if path is None:
-            raise CLIError(f"the {config.command} command needs --{kind}")
         try:
             return loader(path)
         except json.JSONDecodeError as exc:
@@ -79,18 +64,18 @@ def _load_inputs(config: RunConfig):
         except ValueError as exc:
             raise CLIError(f"invalid {kind} file {path}: {exc}") from None
 
-    A = read(config.operator_path, load_operator, "op")
-    G = read(config.vectors_path, load_vectors, "vectors")
+    A = read(args.operator_path, load_operator, "op")
+    G = read(args.vectors_path, load_vectors, "vectors")
     if A.dimension != G.dimension:
         raise CLIError(
-            f"dimension mismatch: {config.operator_path} has d={A.dimension}, "
-            f"{config.vectors_path} has d={G.dimension}"
+            f"dimension mismatch: {args.operator_path} has d={A.dimension}, "
+            f"{args.vectors_path} has d={G.dimension}"
         )
     return A, G
 
 
-def _emit(config: RunConfig, table_lines, json_obj, csv_rows) -> None:
-    fmt = config.output_format
+def _emit(args: argparse.Namespace, table_lines, json_obj, csv_rows) -> None:
+    fmt = args.output_format
     if fmt == "json":
         text = json.dumps(json_obj, indent=2) + "\n"
     elif fmt == "csv":
@@ -100,8 +85,8 @@ def _emit(config: RunConfig, table_lines, json_obj, csv_rows) -> None:
         text = buf.getvalue()
     else:
         text = "\n".join(table_lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -123,21 +108,19 @@ def _report_payload(rep):
     return table, rep.to_dict(), csv_rows
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
-    if config.L is None:
-        raise CLIError("analyze needs --L")
-    if config.options.get("method") == "quadrature":
-        gram = quadrature_gram(A, G, config.L, panels=config.options.get("panels", 256))
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
+    if args.method == "quadrature":
+        gram = quadrature_gram(A, G, args.L, panels=args.panels)
     else:
-        gram = semicont_gram(A, G, config.L)
+        gram = semicont_gram(A, G, args.L)
     rep = frame_bounds(gram)
-    _emit(config, *_report_payload(rep))
+    _emit(args, *_report_payload(rep))
     return 0 if rep.classification == FRAME else 2
 
 
-def _cmd_complete(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
+def _cmd_complete(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
     cert = completeness_check(A, G)
     table = [f"complete: {cert.complete}"]
     csv_rows = [["eigenvalue_re", "eigenvalue_im", "indices", "required", "achieved"]]
@@ -150,23 +133,23 @@ def _cmd_complete(config: RunConfig) -> int:
             [grp.value.real, grp.value.imag, " ".join(map(str, grp.indices)),
              grp.required, grp.achieved]
         )
-    _emit(config, table, cert.to_dict(), csv_rows)
+    _emit(args, table, cert.to_dict(), csv_rows)
     return 0 if cert.complete else 2
 
 
-def _cmd_bessel(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
-    L = 1.0 if config.L is None else config.L
-    is_bessel, energy = bessel_check_fd(A, G)
+def _cmd_bessel(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
+    L = 1.0 if args.L is None else args.L
+    energy = bessel_check_fd(A, G)
     constant = bessel_upper_constant(A, L)
     table = [
-        f"bessel: {is_bessel} (finite families always are)",
+        "bessel: True (finite families always are)",
         f"generator energy on range(A): {energy:.12g}",
         f"upper constant over [0, {L:g}]: {constant:.12g}",
         f"upper bound C <= {energy * constant:.12g}",
     ]
     obj = {
-        "bessel": is_bessel,
+        "bessel": True,
         "range_energy": energy,
         "upper_constant": constant,
         "upper_bound": energy * constant,
@@ -174,14 +157,14 @@ def _cmd_bessel(config: RunConfig) -> int:
     }
     csv_rows = [
         ["bessel", "range_energy", "upper_constant", "upper_bound", "L"],
-        [is_bessel, energy, constant, energy * constant, L],
+        [True, energy, constant, energy * constant, L],
     ]
-    _emit(config, table, obj, csv_rows)
+    _emit(args, table, obj, csv_rows)
     return 0
 
 
-def _cmd_carleson(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
+def _cmd_carleson(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
     ghat = A.to_eigenbasis(G.vectors[0])
     report = carleson_check(A.eigenvalues, P_norms=np.abs(ghat))
     table = [
@@ -195,24 +178,18 @@ def _cmd_carleson(config: RunConfig) -> int:
     csv_rows = [["index", "separation_product"]]
     for i, p in enumerate(report.per_index_products):
         csv_rows.append([i, p])
-    _emit(config, table, report.to_dict(), csv_rows)
+    _emit(args, table, report.to_dict(), csv_rows)
     return 0 if report.verdict != "not_frameable" else 2
 
 
-def _cmd_discretize(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
-    if config.L is None:
-        raise CLIError("discretize needs --L")
+def _cmd_discretize(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
     result = find_discretization(
-        A,
-        G,
-        config.L,
-        target_ratio=config.options.get("target_ratio", 0.5),
-        max_points=config.options.get("max_points", 1 << 20),
+        A, G, args.L, target_ratio=args.target_ratio, max_points=args.max_points
     )
     rep = result.report
     table = [
-        f"accepted grid: n={len(result.grid)} uniform points on [0, {config.L:g})",
+        f"accepted grid: n={len(result.grid)} uniform points on [0, {args.L:g})",
         f"delta_used: {result.delta_used:.12g}",
         f"iterations: {result.iterations}",
         f"unweighted bounds: [{rep.lower:.12g}, {rep.upper:.12g}] ({rep.classification})",
@@ -222,20 +199,17 @@ def _cmd_discretize(config: RunConfig) -> int:
         ["n", "lower", "upper", "condition_number"],
         [len(result.grid), rep.lower, rep.upper, rep.condition_number],
     ]
-    _emit(config, table, discretization_to_dict(result), csv_rows)
+    _emit(args, table, discretization_to_dict(result), csv_rows)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
-    if config.L is None:
-        raise CLIError("verify needs --L")
-    raw = config.options.get("times")
-    if not raw:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
+    if not args.times:
         raise CLIError("verify needs --times as a comma-separated list")
-    times = np.array([float(x) for x in raw.split(",")])
-    grid = TimeGrid(times, config.L)
-    report, analytic = verify_discrete_implies_semicont(A, G, grid, config.L)
+    times = np.array([float(x) for x in args.times.split(",")])
+    grid = TimeGrid(times, args.L)
+    report, analytic = verify_discrete_implies_semicont(A, G, grid, args.L)
     table = [
         f"window bounds: [{report.lower:.12g}, {report.upper:.12g}] "
         f"({report.classification})",
@@ -246,16 +220,15 @@ def _cmd_verify(config: RunConfig) -> int:
         ["lower", "upper", "analytic_lower"],
         [report.lower, report.upper, analytic],
     ]
-    _emit(config, table, obj, csv_rows)
+    _emit(args, table, obj, csv_rows)
     return 0
 
 
-def _cmd_lscan(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
-    raw = config.options.get("lengths")
-    if not raw:
+def _cmd_lscan(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
+    if not args.lengths:
         raise CLIError("lscan needs --Ls as a comma-separated list")
-    lengths = [float(x) for x in raw.split(",")]
+    lengths = [float(x) for x in args.lengths.split(",")]
     result = window_scan(A, G, lengths)
     table = [f"invertible self-adjoint regime: {result.invertible_self_adjoint}"]
     for L, lo, up, cond, label in zip(
@@ -270,20 +243,16 @@ def _cmd_lscan(config: RunConfig) -> int:
             f"cond={cond:<12.6g} {label}"
         )
     table.append("errors: none")
-    _emit(config, table, window_scan_to_dict(result), window_scan_to_csv_rows(result))
+    _emit(args, table, window_scan_to_dict(result), window_scan_to_csv_rows(result))
     return 0
 
 
-def _cmd_reconstruct(config: RunConfig) -> int:
-    A, G = _load_inputs(config)
-    if config.L is None:
-        raise CLIError("reconstruct needs --L")
-    n_times = config.options.get("times", 32)
-    noise = config.options.get("noise", 0.0)
-    mode = config.options.get("mode", "unweighted")
-    rng = np.random.default_rng(config.seed)
+def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    A, G = _load_inputs(args)
+    n_times, noise = args.times, args.noise
+    rng = np.random.default_rng(args.seed)
     truth = rng.normal(size=A.dimension) + 1j * rng.normal(size=A.dimension)
-    grid = TimeGrid.uniform(n_times, config.L)
+    grid = TimeGrid.uniform(n_times, args.L)
     records = sample(A, G, truth, grid)
     if noise > 0.0:
         jitter = rng.normal(size=len(records)) + 1j * rng.normal(size=len(records))
@@ -291,7 +260,7 @@ def _cmd_reconstruct(config: RunConfig) -> int:
             type(rec)(rec.generator_index, rec.time, rec.value + noise * z)
             for rec, z in zip(records, jitter)
         ]
-    result = reconstruct(A, G, records, mode=mode, L=config.L, truth=truth)
+    result = reconstruct(A, G, records, mode=args.mode, L=args.L, truth=truth)
     table = [
         f"samples: {len(records)} ({len(G)} generators x {n_times} times)",
         f"noise sigma: {noise:g}",
@@ -308,13 +277,12 @@ def _cmd_reconstruct(config: RunConfig) -> int:
         ["samples", "noise", "solver_iterations", "relative_error"],
         [len(records), noise, result.solver_iterations, result.residual],
     ]
-    _emit(config, table, obj, csv_rows)
+    _emit(args, table, obj, csv_rows)
     return 0
 
 
-def _cmd_repro(config: RunConfig) -> int:
-    name = config.options.get("name")
-    if config.options.get("list") or (name is None and not config.options.get("all")):
+def _cmd_repro(args: argparse.Namespace) -> int:
+    if args.list or (args.name is None and not args.all):
         table = []
         for entry in repro_catalog():
             table.append(f"{entry.name:<16} {entry.summary}")
@@ -328,16 +296,16 @@ def _cmd_repro(config: RunConfig) -> int:
         csv_rows = [["name", "summary", "claim"]] + [
             [e.name, e.summary, e.claim] for e in repro_catalog()
         ]
-        _emit(config, table, obj, csv_rows)
+        _emit(args, table, obj, csv_rows)
         return 0
 
-    names = [e.name for e in repro_catalog()] if config.options.get("all") else [name]
+    names = [e.name for e in repro_catalog()] if args.all else [args.name]
     all_ok = True
     table = []
     results = []
     for nm in names:
         try:
-            ok, lines = run_entry(nm, d=config.truncation, L=config.L)
+            ok, lines = run_entry(nm, d=args.truncation, L=args.L)
         except KeyError as exc:
             raise CLIError(str(exc.args[0])) from None
         all_ok = all_ok and ok
@@ -346,29 +314,8 @@ def _cmd_repro(config: RunConfig) -> int:
         table.extend(f"    {line}" for line in lines)
     obj = {"entries": results, "all_passed": all_ok}
     csv_rows = [["name", "passed"]] + [[r["name"], r["passed"]] for r in results]
-    _emit(config, table, obj, csv_rows)
+    _emit(args, table, obj, csv_rows)
     return 0 if all_ok else 1
-
-
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "complete": _cmd_complete,
-    "bessel": _cmd_bessel,
-    "carleson": _cmd_carleson,
-    "discretize": _cmd_discretize,
-    "verify": _cmd_verify,
-    "lscan": _cmd_lscan,
-    "reconstruct": _cmd_reconstruct,
-    "repro": _cmd_repro,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise CLIError(f"unknown command {config.command!r}")
-    return handler(config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -379,57 +326,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, vectors=True, needs_L=False):
+    def common(sp, handler, needs_L=False):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--op", dest="operator_path", required=True,
                         help="operator JSON file")
-        if vectors:
-            sp.add_argument("--vectors", dest="vectors_path", required=True,
-                            help="generator JSON file")
+        sp.add_argument("--vectors", dest="vectors_path", required=True,
+                        help="generator JSON file")
         sp.add_argument("--L", type=float, default=None, required=needs_L,
                         help="window length")
         sp.add_argument("--format", dest="output_format", default="table",
                         choices=("table", "json", "csv"))
         sp.add_argument("--out", default=None, help="write output to this file")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("analyze", help="frame bounds of the windowed system")
-    common(sp, needs_L=True)
+    common(sp, _cmd_analyze, needs_L=True)
     sp.add_argument("--method", choices=("closed_form", "quadrature"),
                     default="closed_form")
     sp.add_argument("--panels", type=int, default=256)
 
     sp = sub.add_parser("complete", help="eigenspace-by-eigenspace spanning test")
-    common(sp)
+    common(sp, _cmd_complete)
 
     sp = sub.add_parser("bessel", help="upper-bound diagnostics")
-    common(sp)
+    common(sp, _cmd_bessel)
 
     sp = sub.add_parser("carleson", help="one-generator frameability diagnostics")
-    common(sp)
+    common(sp, _cmd_carleson)
 
     sp = sub.add_parser("discretize", help="search a uniform grid that keeps the lower bound")
-    common(sp, needs_L=True)
+    common(sp, _cmd_discretize, needs_L=True)
     sp.add_argument("--target-ratio", type=float, default=0.5)
     sp.add_argument("--max-points", type=int, default=1 << 20)
 
     sp = sub.add_parser("verify", help="certify the window from a discrete frame")
-    common(sp, needs_L=True)
+    common(sp, _cmd_verify, needs_L=True)
     sp.add_argument("--times", required=True,
                     help="comma-separated sample times starting at 0")
 
     sp = sub.add_parser("lscan", help="frame bounds across window lengths")
-    common(sp)
+    common(sp, _cmd_lscan)
     sp.add_argument("--Ls", dest="lengths", required=True,
                     help="comma-separated window lengths, increasing")
 
     sp = sub.add_parser("reconstruct", help="round-trip demo on random states")
-    common(sp, needs_L=True)
+    common(sp, _cmd_reconstruct, needs_L=True)
     sp.add_argument("--times", type=int, default=32, help="uniform sample count")
     sp.add_argument("--noise", type=float, default=0.0)
     sp.add_argument("--mode", choices=("unweighted", "riemann"),
                     default="unweighted")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the random state and noise")
 
     sp = sub.add_parser("repro", help="run built-in reproductions")
+    sp.set_defaults(handler=_cmd_repro)
     sp.add_argument("name", nargs="?", default=None)
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--list", action="store_true")
@@ -442,30 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    base = {
-        "command": args.command,
-        "operator_path": getattr(args, "operator_path", None),
-        "vectors_path": getattr(args, "vectors_path", None),
-        "L": getattr(args, "L", None),
-        "truncation": getattr(args, "truncation", 64),
-        "output_format": getattr(args, "output_format", "table"),
-        "seed": getattr(args, "seed", 0),
-        "out": getattr(args, "out", None),
-    }
-    options = {}
-    for key in ("method", "panels", "target_ratio", "max_points", "times",
-                "noise", "mode", "name", "all", "list", "lengths"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    return RunConfig(options=options, **base)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return run(config)
+        return args.handler(args)
     except (NotAFrame, DiscreteNotFrame) as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return 2

@@ -23,8 +23,8 @@ from .spectral import (
     SpectralOperator,
     VectorSet,
     _power_profile,
+    _require_finite,
     apply_power_batch,
-    complex_to_pair,
     pair_integral_matrix,
 )
 
@@ -36,8 +36,6 @@ __all__ = [
     "discrete_gram",
     "bessel_sum",
     "quadrature_gram",
-    "gram_to_dict",
-    "matrix_to_csv_rows",
 ]
 
 _HERMITIAN_TOL = 1e-8
@@ -158,13 +156,22 @@ class DiscreteGram:
         return int(self.matrix.shape[0])
 
 
-def _hat_weight_matrix(A: SpectralOperator, G: VectorSet) -> np.ndarray:
-    if G.dimension != A.dimension:
-        raise DimensionMismatch(
-            f"generators live in C^{G.dimension} but the operator acts on C^{A.dimension}"
-        )
-    ghat = A.to_eigenbasis(G.vectors)
+def _hat_weight_matrix(ghat: np.ndarray) -> np.ndarray:
     return ghat.T @ np.conj(ghat)
+
+
+def _sampled_gram_hat(
+    ghat: np.ndarray, M: np.ndarray, w: Optional[np.ndarray]
+) -> np.ndarray:
+    """Eigen-coordinate Gram of sampled orbits: (ghat^T conj ghat) * ((w M)^T conj M).
+
+    Row i of M holds the powers of every eigenvalue at the i-th time; w
+    weights the times (None for plain sums). Raises DomainError when the
+    sum of squared powers overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (M if w is None else w[:, None] * M).T @ np.conj(M)
+    return _hat_weight_matrix(ghat) * _require_finite(P, "sampled power sum")
 
 
 def _undiagonalize(A: SpectralOperator, shat: np.ndarray) -> np.ndarray:
@@ -175,9 +182,8 @@ def _undiagonalize(A: SpectralOperator, shat: np.ndarray) -> np.ndarray:
 
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> SemiContGram:
     """Closed-form Gram of the orbit family over [0, L]."""
-    W = _hat_weight_matrix(A, G)
-    P = pair_integral_matrix(A.eigenvalues, L)
-    S = _undiagonalize(A, W * P)
+    W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
+    S = _undiagonalize(A, W * pair_integral_matrix(A.eigenvalues, L))
     return SemiContGram(S, float(L), len(G), method="closed_form")
 
 
@@ -193,10 +199,7 @@ def discrete_gram(
     panel widths, so the Gram approximates the [0, L] integral), or an
     explicit positive array with one entry per time.
     """
-    if A.dimension != G.dimension:
-        raise DimensionMismatch(
-            f"generators live in C^{G.dimension} but the operator acts on C^{A.dimension}"
-        )
+    ghat = A.to_eigenbasis(G.vectors)
     if isinstance(weights, str):
         if weights != "riemann":
             raise ValueError(f"unknown weighting {weights!r}")
@@ -209,9 +212,7 @@ def discrete_gram(
             raise DimensionMismatch("one weight per grid time is required")
 
     M = _power_profile(A.eigenvalues, T.times)
-    scaled = M if w is None else w[:, None] * M
-    P = scaled.T @ np.conj(M)
-    S = _undiagonalize(A, _hat_weight_matrix(A, G) * P)
+    S = _undiagonalize(A, _sampled_gram_hat(ghat, M, w))
     return DiscreteGram(S, T, w)
 
 
@@ -222,12 +223,8 @@ def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> fl
     ``semicont_gram`` to rounding.
     """
     fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
-    if G.dimension != A.dimension:
-        raise DimensionMismatch(
-            f"generators live in C^{G.dimension} but the operator acts on C^{A.dimension}"
-        )
-    P = pair_integral_matrix(A.eigenvalues, L)
     ghat = A.to_eigenbasis(G.vectors)
+    P = pair_integral_matrix(A.eigenvalues, L)
     total = 0.0
     for row in ghat:
         w = fh * np.conj(row)
@@ -263,37 +260,3 @@ def quadrature_gram(
         V = apply_power_batch(A, nodes, g)
         S += (wts[:, None] * V).T @ np.conj(V)
     return SemiContGram(S, L, len(G), method="quadrature")
-
-
-# ---------------------------------------------------------------------------
-# interchange helpers
-
-
-def gram_to_dict(gram: Union[SemiContGram, DiscreteGram]) -> dict:
-    S = gram.matrix
-    d = gram.dimension
-    out = {
-        "dimension": d,
-        "matrix": [[complex_to_pair(S[i, j]) for j in range(d)] for i in range(d)],
-    }
-    if isinstance(gram, SemiContGram):
-        out["L"] = gram.L
-        out["method"] = gram.method
-    else:
-        out["L"] = gram.times.L
-        out["method"] = "discrete"
-        out["times"] = [float(t) for t in gram.times.times]
-        out["weights"] = None if gram.weights is None else [float(x) for x in gram.weights]
-    return out
-
-
-def matrix_to_csv_rows(S: np.ndarray) -> list:
-    """Row-major rows with interleaved re/im columns."""
-    S = np.asarray(S, dtype=np.complex128)
-    rows = []
-    for i in range(S.shape[0]):
-        row = []
-        for j in range(S.shape[1]):
-            row.extend([float(S[i, j].real), float(S[i, j].imag)])
-        rows.append(row)
-    return rows

@@ -20,14 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame
 from .analysis import FRAME, frame_bounds
-from .gram import TimeGrid
-from .spectral import (
-    SpectralOperator,
-    VectorSet,
-    _power_profile,
-    apply_power_batch,
-    complex_to_pair,
-)
+from .gram import TimeGrid, _sampled_gram_hat
+from .spectral import SpectralOperator, VectorSet, _power_profile, apply_power_batch
 
 __all__ = [
     "SampleRecord",
@@ -35,9 +29,6 @@ __all__ = [
     "sample",
     "reconstruct",
     "heat_cycle_operator",
-    "samples_to_csv_rows",
-    "samples_from_csv_rows",
-    "samples_to_dicts",
 ]
 
 
@@ -73,8 +64,8 @@ class ReconstructionResult:
 def sample(A: SpectralOperator, G: VectorSet, f: np.ndarray, T: TimeGrid) -> list:
     """Measure <A^t f, g> for every generator and grid time.
 
-    Records are generator-major (all times of generator 1, then generator 2,
-    and so on), matching the CSV interchange layout.
+    Records are generator-major: all times of generator 1, then generator 2,
+    and so on.
     """
     fv = np.asarray(f, dtype=np.complex128).reshape(-1)
     if fv.size != A.dimension or G.dimension != A.dimension:
@@ -144,13 +135,10 @@ def reconstruct(
 
     # analysis family in eigencoordinates: psi_hat = conj(lambda^t) * g_hat
     profile = np.conj(_power_profile(A.eigenvalues, grid.times))
-    S_hat = np.zeros((A.dimension, A.dimension), dtype=np.complex128)
-    b_hat = np.zeros(A.dimension, dtype=np.complex128)
-    for gi, g in enumerate(G, start=1):
-        psi_hat = profile * A.to_eigenbasis(g)[None, :]
-        S_hat += (weights[:, None] * psi_hat).T @ np.conj(psi_hat)
-        vals = np.array([table[(gi, float(t))] for t in times])
-        b_hat += (weights * vals) @ psi_hat
+    ghat = A.to_eigenbasis(G.vectors)
+    S_hat = _sampled_gram_hat(ghat, profile, weights)
+    vals = np.array([[table[(gi, float(t))] for t in times] for gi in range(1, m + 1)])
+    b_hat = np.sum(ghat * ((vals * weights) @ profile), axis=0)
     report = frame_bounds(S_hat)
     if report.classification != FRAME:
         raise NotAFrame(
@@ -195,49 +183,3 @@ def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
     if d % 2 == 0:
         basis[:, d // 2] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(d)
     return SpectralOperator(lam, basis.astype(np.complex128))
-
-
-# ---------------------------------------------------------------------------
-# interchange helpers
-
-
-def samples_to_csv_rows(records: Sequence[SampleRecord]) -> list:
-    rows = [["generator_index", "time", "re", "im"]]
-    for rec in records:
-        rows.append(
-            [rec.generator_index, rec.time, rec.value.real, rec.value.imag]
-        )
-    return rows
-
-
-def samples_from_csv_rows(rows: Sequence[Sequence[str]]) -> list:
-    records = []
-    for i, row in enumerate(rows):
-        if i == 0 and any(not _is_number(cell) for cell in row[1:]):
-            continue  # header
-        if len(row) != 4:
-            raise ValueError(f"sample row {i} needs 4 columns, got {len(row)}")
-        records.append(
-            SampleRecord(int(float(row[0])), float(row[1]),
-                         complex(float(row[2]), float(row[3])))
-        )
-    return records
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except (TypeError, ValueError):
-        return False
-
-
-def samples_to_dicts(records: Sequence[SampleRecord]) -> list:
-    return [
-        {
-            "generator_index": rec.generator_index,
-            "time": rec.time,
-            "value": complex_to_pair(rec.value),
-        }
-        for rec in records
-    ]

@@ -4,11 +4,15 @@ Everything downstream works with an operator in diagonalized form:
 ``A = U diag(lambda) U*`` with orthonormal columns in ``U``. Continuous
 powers ``A^t`` are defined entrywise on the spectrum through the principal
 branch ``z^t = exp(t (ln|z| + i arg z))`` with ``arg z`` in ``[-pi, pi)``.
+
+Two vectorised kernels compute every power and window integral in the
+package: ``_power_profile`` (samples ``lambda^t``) and ``_window_integral``
+(``(e^{L alpha} - 1) / alpha``). They are where an overflowing power becomes
+a ``DomainError``; the scalar functions below are thin wrappers on them.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -58,31 +62,72 @@ def rank_tolerance_factor() -> float:
     return float(os.environ.get("DYNSAMP_TOL", "1e-9"))
 
 
+def _principal_log(z) -> np.ndarray:
+    """ln|z| + i arg z with arg z in [-pi, pi); the real part is -inf at z = 0."""
+    z = np.asarray(z, dtype=np.complex128)
+    arg = np.arctan2(z.imag, z.real)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(z)) + 1j * np.where(arg == np.pi, -np.pi, arg)
+
+
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} has non-finite entries (overflowed powers)")
+    return values
+
+
+def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
+    """(e^{L alpha} - 1) / alpha elementwise: the integral of e^{t alpha} over [0, L].
+
+    Returns L where |alpha| <= 1e-12 and 0 where Re alpha = -inf (a zero
+    eigenvalue); raises DomainError when a value overflows.
+    """
+    L = float(L)
+    if not L > 0:
+        raise DomainError("interval length must be positive")
+    small = np.abs(alpha) <= _SMALL_EXPONENT
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (np.exp(L * alpha) - 1.0) / np.where(small, 1.0, alpha)
+    out = np.where(small, complex(L), np.where(alpha.real == -np.inf, 0.0, out))
+    return _require_finite(out, "window integral")
+
+
+def _power_integrals(z, ell: float) -> np.ndarray:
+    if not 0.0 < float(ell) <= 0.5:
+        raise DomainError("ell must lie in (0, 1/2]")
+    return _window_integral(_principal_log(z), ell)
+
+
+def _power_profile(eigenvalues: np.ndarray, times) -> np.ndarray:
+    """Rows of principal powers: out[i, j] = lambda_j ^ t_i, with 0^0 = 1.
+
+    Raises DomainError for 0^t with t < 0 and when a power overflows.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.complex128)
+    t = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    zero = lam == 0
+    has_zero = zero.any()
+    if has_zero and (t < 0).any():
+        raise DomainError("0^t is undefined for t < 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(np.multiply.outer(t, _principal_log(lam)))
+    if has_zero:
+        out[:, zero] = 0.0
+        out[np.ix_(t == 0.0, zero)] = 1.0
+    return _require_finite(out, "power profile")
+
+
 def branch_argument(z: complex) -> float:
     """Argument of z in [-pi, pi); the cut itself maps to -pi."""
-    a = math.atan2(z.imag, z.real)
-    return -math.pi if a == math.pi else a
-
-
-def _branch_arguments(z: np.ndarray) -> np.ndarray:
-    a = np.arctan2(z.imag, z.real)
-    return np.where(a == np.pi, -np.pi, a)
+    return float(_principal_log(z).imag)
 
 
 def principal_power(z: complex, t: float) -> complex:
     """Principal-branch power z^t, with z^0 = 1 for every z.
 
-    Raises DomainError for 0^t with t < 0.
+    Raises DomainError for 0^t with t < 0 and when z^t overflows.
     """
-    z = complex(z)
-    t = float(t)
-    if t == 0.0:
-        return 1.0 + 0.0j
-    if z == 0:
-        if t < 0:
-            raise DomainError("0^t is undefined for t < 0")
-        return 0.0 + 0.0j
-    return cmath.exp(t * complex(math.log(abs(z)), branch_argument(z)))
+    return complex(_power_profile([z], [t])[0, 0])
 
 
 def power_integral(z: complex, ell: float) -> complex:
@@ -91,16 +136,7 @@ def power_integral(z: complex, ell: float) -> complex:
     The removable singularity at z = 1 (|ln z| <= 1e-12) returns ell; z = 0
     integrates to 0.
     """
-    ell = float(ell)
-    if not 0.0 < ell <= 0.5:
-        raise DomainError("ell must lie in (0, 1/2]")
-    z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    log_z = complex(math.log(abs(z)), branch_argument(z))
-    if abs(log_z) <= _SMALL_EXPONENT:
-        return complex(ell)
-    return (cmath.exp(ell * log_z) - 1.0) / log_z
+    return complex(_power_integrals(z, ell))
 
 
 def pair_integral(lam: complex, mu: complex, L: float) -> complex:
@@ -111,58 +147,13 @@ def pair_integral(lam: complex, mu: complex, L: float) -> complex:
     what makes the formula continuous on and off the branch cut (e.g.
     lam = mu = -1 gives alpha = 0 and the integral equals L).
     """
-    L = float(L)
-    if not L > 0:
-        raise DomainError("interval length must be positive")
-    lam = complex(lam)
-    mu = complex(mu)
-    if lam == 0 or mu == 0:
-        return 0.0 + 0.0j
-    alpha = complex(
-        math.log(abs(lam)) + math.log(abs(mu)),
-        branch_argument(lam) - branch_argument(mu),
-    )
-    if abs(alpha) <= _SMALL_EXPONENT:
-        return complex(L)
-    return (cmath.exp(L * alpha) - 1.0) / alpha
+    return complex(_window_integral(_principal_log(lam) + np.conj(_principal_log(mu)), L))
 
 
 def pair_integral_matrix(eigenvalues: np.ndarray, L: float) -> np.ndarray:
     """Matrix P with P[j, k] = pair_integral(lambda_j, lambda_k, L)."""
-    L = float(L)
-    if not L > 0:
-        raise DomainError("interval length must be positive")
-    lam = np.asarray(eigenvalues, dtype=np.complex128)
-    zero = lam == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mod = np.log(np.abs(lam))
-        arg = _branch_arguments(lam)
-        alpha = (mod[:, None] + mod[None, :]) + 1j * (arg[:, None] - arg[None, :])
-        small = np.abs(alpha) <= _SMALL_EXPONENT
-        safe = np.where(small, 1.0, alpha)
-        P = np.where(small, complex(L), (np.exp(L * alpha) - 1.0) / safe)
-    if zero.any():
-        P[zero, :] = 0.0
-        P[:, zero] = 0.0
-    return P
-
-
-def _power_profile(eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Rows of principal powers: out[i, j] = lambda_j ^ t_i."""
-    lam = np.asarray(eigenvalues, dtype=np.complex128)
-    t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    zero = lam == 0
-    if zero.any() and (t < 0).any():
-        raise DomainError("0^t is undefined for t < 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(np.abs(lam)) + 1j * _branch_arguments(lam)
-        out = np.exp(np.multiply.outer(t, logs))
-    if zero.any():
-        out[:, zero] = 0.0
-        at_zero = t == 0.0
-        if at_zero.any():
-            out[np.ix_(at_zero, zero)] = 1.0
-    return out
+    log = _principal_log(eigenvalues)
+    return _window_integral(log[:, None] + np.conj(log)[None, :], L)
 
 
 @dataclass(frozen=True)
@@ -353,18 +344,19 @@ def group_eigenspaces(A: SpectralOperator) -> list:
     return out
 
 
+def _orbit(A: SpectralOperator, times, f) -> np.ndarray:
+    fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
+    return A.from_eigenbasis(_power_profile(A.eigenvalues, times) * fh)
+
+
 def apply_power(A: SpectralOperator, t: float, f: np.ndarray) -> np.ndarray:
     """A^t f through the spectral decomposition."""
-    fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
-    powered = _power_profile(A.eigenvalues, np.array([float(t)]))[0] * fh
-    return A.from_eigenbasis(powered)
+    return _orbit(A, [float(t)], f)[0]
 
 
 def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray) -> np.ndarray:
     """Stack of A^t f for each t in times; row i is A^{times[i]} f."""
-    fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
-    powered = _power_profile(A.eigenvalues, np.asarray(times, dtype=np.float64)) * fh
-    return A.from_eigenbasis(powered)
+    return _orbit(A, times, f)
 
 
 # ---------------------------------------------------------------------------

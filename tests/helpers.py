@@ -6,7 +6,7 @@ import numpy as np
 
 from dynframes.errors import DimensionMismatch, NoConvergence
 from dynframes.gram import _check_hermitian
-from dynframes.spectral import SpectralOperator, VectorSet, branch_argument
+from dynframes.spectral import SpectralOperator, VectorSet
 
 
 def random_unitary(rng, d):
@@ -71,11 +71,17 @@ def simpson_quadrature(values, L):
     return (h / 3.0) * np.sum(w * values)
 
 
+def principal_log(z):
+    """ln|z| + i arg z with arg z in [-pi, pi), straight from the definition."""
+    arg = math.atan2(z.imag, z.real)
+    return math.log(abs(z)) + 1j * (-math.pi if arg == math.pi else arg)
+
+
 def simpson_pair_integral(lam, mu, L, panels=1 << 14):
     """Quadrature of lam^t conj(mu^t) using only the branch definition."""
     t = np.linspace(0.0, L, panels + 1)
-    log_lam = np.log(abs(lam)) + 1j * branch_argument(lam)
-    log_mu = np.log(abs(mu)) + 1j * branch_argument(mu)
+    log_lam = principal_log(lam)
+    log_mu = principal_log(mu)
     vals = np.exp(t * log_lam) * np.conj(np.exp(t * log_mu))
     return simpson_quadrature(vals, L)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,17 @@ from dynframes.analysis import (
 from dynframes.errors import DimensionMismatch, DomainError, NonHermitian
 from dynframes.gram import TimeGrid, discrete_gram, semicont_gram
 from dynframes.reconstruct import heat_cycle_operator
-from dynframes.spectral import SpectralOperator, VectorSet, power_integral
+from dynframes.spectral import (
+    SpectralOperator,
+    VectorSet,
+    pair_integral,
+    power_integral,
+    principal_power,
+)
 from dynframes.catalog import decaying_reciprocal_system, gaussian_decay_system
 from helpers import (
     jacobi_eigh,
+    principal_log,
     random_normal_operator,
     random_self_adjoint_operator,
     random_unitary,
@@ -149,6 +157,26 @@ def test_overflowed_gram_raises_domain_error():
         frame_bounds(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_overflow_raises_domain_error_without_warnings():
+    # every route to 3^(2L) at L = 400 stops with a typed error where the
+    # powers or their sums overflow, before numpy can warn about inf or NaN
+    A = SpectralOperator(np.array([3.0, 0.5], dtype=complex))
+    G = VectorSet(np.array([[1.0, 1.0]], dtype=complex))
+    calls = (
+        lambda: semicont_gram(A, G, 400.0),
+        lambda: discrete_gram(A, G, TimeGrid.uniform(64, 400.0)),
+        lambda: discrete_gram(A, G, TimeGrid.uniform(64, 400.0), weights="riemann"),
+        lambda: pair_integral(3.0, 3.0, 400.0),
+        lambda: bessel_upper_constant(A, 400.0),
+        lambda: principal_power(3.0, 800.0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(DomainError, match="non-finite"):
+                call()
+
+
 def test_frame_bounds_unitary_invariance():
     rng = np.random.default_rng(59)
     for _ in range(10):
@@ -174,6 +202,8 @@ def test_completeness_standard_basis():
     cert = completeness_check(A, VectorSet(np.eye(3)))
     assert cert.complete
     assert all(g.achieved == g.required == 1 for g in cert.groups)
+    with pytest.raises(DimensionMismatch):
+        completeness_check(A, VectorSet(np.eye(4)))
 
 
 def test_completeness_multiplicity_blocks_single_generator():
@@ -274,9 +304,7 @@ def test_bessel_check_energies():
     # the visible range and only 1 + 4 + 9 + 16 survives, at every d >= 5
     for d in (8, 16):
         A, G, _ = gaussian_decay_system(d)
-        flag, energy = bessel_check_fd(A, G)
-        assert flag is True
-        assert energy == pytest.approx(30.0, rel=1e-12)
+        assert bessel_check_fd(A, G) == pytest.approx(30.0, rel=1e-12)
         raw = float(np.sum(np.abs(G.vectors) ** 2))
         assert raw == d * (d + 1) * (2 * d + 1) / 6.0  # unmasked energy differs
 
@@ -284,8 +312,9 @@ def test_bessel_check_energies():
 def test_bessel_check_masks_null_directions():
     A = SpectralOperator(np.array([1.0, 0.0], dtype=complex))
     G = VectorSet(np.array([[3.0, 4.0]], dtype=complex))
-    _, energy = bessel_check_fd(A, G)
-    assert energy == pytest.approx(9.0)  # the dead direction does not count
+    assert bessel_check_fd(A, G) == pytest.approx(9.0)  # the dead direction does not count
+    with pytest.raises(DimensionMismatch):
+        bessel_check_fd(A, VectorSet(np.ones((1, 3))))
 
 
 def test_bessel_upper_constant_values():
@@ -320,10 +349,7 @@ def test_multiplier_bounds_match_quadrature():
         t = np.linspace(0.0, ell, 513)
         vals = []
         for z in A.eigenvalues:
-            log_z = math.log(abs(z)) + 1j * math.atan2(z.imag, z.real)
-            if math.atan2(z.imag, z.real) == math.pi:
-                log_z = complex(log_z.real, -math.pi)
-            vals.append(abs(simpson_quadrature(np.exp(t * log_z), ell)))
+            vals.append(abs(simpson_quadrature(np.exp(t * principal_log(z)), ell)))
         assert m == pytest.approx(min(vals), abs=1e-10)
         assert M == pytest.approx(max(vals), abs=1e-10)
         assert m > 0.0

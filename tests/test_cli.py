@@ -86,6 +86,18 @@ def test_analyze_negative_classification_exit_code(incomplete_files, capsys):
     assert "incomplete" in out
 
 
+@pytest.mark.parametrize("command", [["bessel", "--L", "400"], ["lscan", "--Ls", "1,400"]])
+def test_overflow_is_a_domain_error_in_bessel_and_lscan(tmp_path, capsys, command):
+    op = tmp_path / "op.json"
+    vec = tmp_path / "vec.json"
+    save_operator(SpectralOperator(np.array([3.0, 0.5], dtype=complex)), op)
+    save_vectors(VectorSet(np.array([[1.0, 1.0]], dtype=complex)), vec)
+    code = main([command[0], "--op", str(op), "--vectors", str(vec), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "non-finite" in err
+
+
 def test_analyze_overflowed_gram_exit_code(tmp_path, capsys):
     op = tmp_path / "op.json"
     vec = tmp_path / "vec.json"
@@ -274,6 +286,14 @@ def test_reconstruct_command_with_noise(identity_files, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert code == 0
     assert 1e-8 < blob["relative_error"] < 1e-2
+
+
+def test_seed_belongs_to_reconstruct_only(identity_files, capsys):
+    op, vec = identity_files
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--op", op, "--vectors", vec, "--L", "1", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_reconstruct_single_sensor_exit_code(tmp_path, capsys):

@@ -10,8 +10,6 @@ from dynframes.gram import (
     TimeGrid,
     bessel_sum,
     discrete_gram,
-    gram_to_dict,
-    matrix_to_csv_rows,
     quadrature_gram,
     semicont_gram,
 )
@@ -68,6 +66,10 @@ def test_gram_dimension_mismatch():
     G = VectorSet(np.eye(4))
     with pytest.raises(DimensionMismatch):
         semicont_gram(A, G, 1.0)
+    with pytest.raises(DimensionMismatch):
+        discrete_gram(A, G, TimeGrid.uniform(4, 1.0))
+    with pytest.raises(DimensionMismatch):
+        bessel_sum(A, G, 1.0, np.ones(3))
 
 
 def test_gram_basis_covariance():
@@ -251,24 +253,3 @@ def test_gram_containers_reject_asymmetry():
         DiscreteGram(bad, TimeGrid(np.array([0.0]), 1.0))
     with pytest.raises(ValueError):
         SemiContGram(np.eye(2), 1.0, 1, method="guesswork")
-
-
-def test_gram_to_dict_and_csv():
-    A = SpectralOperator(np.array([1.0, 0.5], dtype=complex))
-    G = VectorSet(np.eye(2))
-    S = semicont_gram(A, G, 1.0)
-    doc = gram_to_dict(S)
-    assert doc["dimension"] == 2
-    assert doc["method"] == "closed_form"
-    assert doc["L"] == 1.0
-    assert doc["matrix"][0][0] == [1.0, 0.0]
-
-    D = discrete_gram(A, G, TimeGrid(np.array([0.0, 0.5]), 1.0), weights="riemann")
-    ddoc = gram_to_dict(D)
-    assert ddoc["method"] == "discrete"
-    assert ddoc["times"] == [0.0, 0.5]
-    assert ddoc["weights"] == [0.5, 0.5]
-
-    rows = matrix_to_csv_rows(S.matrix)
-    assert rows[0] == [1.0, 0.0, 0.0, 0.0]
-    assert len(rows) == 2 and len(rows[0]) == 4

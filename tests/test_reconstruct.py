@@ -9,9 +9,6 @@ from dynframes.reconstruct import (
     heat_cycle_operator,
     reconstruct,
     sample,
-    samples_from_csv_rows,
-    samples_to_csv_rows,
-    samples_to_dicts,
 )
 from dynframes.spectral import SpectralOperator, VectorSet
 from helpers import random_normal_operator, random_self_adjoint_operator, random_vectors
@@ -274,31 +271,7 @@ def test_reconstruct_coverage_validation():
 
 
 # ---------------------------------------------------------------------------
-# interchange
-
-
-def test_samples_csv_round_trip():
-    recs = [
-        SampleRecord(1, 0.0, 1.5 - 2.0j),
-        SampleRecord(1, 0.5, 0.25),
-        SampleRecord(2, 0.0, -1.0j),
-    ]
-    rows = samples_to_csv_rows(recs)
-    assert rows[0] == ["generator_index", "time", "re", "im"]
-    back = samples_from_csv_rows([[str(c) for c in row] for row in rows])
-    assert back == recs
-    # headerless input works too
-    no_header = samples_from_csv_rows([["1", "0.25", "2.0", "0.0"]])
-    assert no_header == [SampleRecord(1, 0.25, 2.0)]
-    with pytest.raises(ValueError):
-        samples_from_csv_rows([["1", "0.25", "2.0"]])
-
-
-def test_samples_to_dicts_shape():
-    blobs = samples_to_dicts([SampleRecord(2, 0.125, 3.0 + 4.0j)])
-    assert blobs == [
-        {"generator_index": 2, "time": 0.125, "value": [3.0, 4.0]}
-    ]
+# results
 
 
 def test_reconstruction_result_freezes_estimate():
