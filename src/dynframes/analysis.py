@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -158,27 +158,10 @@ def frame_bounds(S) -> FrameReport:
     )
 
 
-def _pivoted_gs_rank(B: np.ndarray, rel_factor: float) -> int:
-    """Numerical column rank by column-pivoted modified Gram-Schmidt."""
-    cols = np.asarray(B, dtype=np.complex128).copy()
-    if cols.size == 0:
-        return 0
-    norms = np.linalg.norm(cols, axis=0)
-    scale = float(norms.max())
-    if scale == 0.0:
-        return 0
-    tol = rel_factor * scale
-    rank = 0
-    for _ in range(min(cols.shape)):
-        norms = np.linalg.norm(cols, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        q = cols[:, j] / norms[j]
-        rank += 1
-        cols -= np.outer(q, q.conj() @ cols)
-        cols[:, j] = 0.0
-    return rank
+def _svd_rank(B: np.ndarray) -> int:
+    """Count of singular values above rank_tolerance_factor() times the largest; 0 if B = 0."""
+    svals = np.linalg.svd(B, compute_uv=False)
+    return int(np.count_nonzero(svals > rank_tolerance_factor() * svals[0]))
 
 
 def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertificate:
@@ -186,17 +169,16 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
 
     The orbit of G under continuous powers spans C^d exactly when, within
     every eigenvalue group, the projected generators already span that
-    group's eigenspace. Rank decisions use a pivoted Gram-Schmidt with a
-    relative cutoff.
+    group's eigenspace. Each group's rank is the count of its block's
+    singular values (LAPACK SVD) above the relative rank cutoff.
     """
     ghat = A.to_eigenbasis(G.vectors)
-    rel = rank_tolerance_factor()
     entries = []
     complete = True
     for grp in group_eigenspaces(A):
         block = ghat[:, list(grp.indices)].T
         required = len(grp.indices)
-        achieved = _pivoted_gs_rank(block, rel)
+        achieved = _svd_rank(block)
         if achieved < required:
             complete = False
         entries.append(GroupRank(grp.value, grp.indices, required, achieved))
@@ -218,12 +200,7 @@ def brute_force_completeness(
         raise ValueError(f"grid_points must be at least d*|G| = {d * m}")
     times = np.linspace(0.0, float(L), int(grid_points))
     blocks = [apply_power_batch(A, times, g).T for g in G]
-    stacked = np.hstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return d == 0
-    rank = int(np.sum(svals > rank_tolerance_factor() * svals[0]))
-    return rank == d
+    return _svd_rank(np.hstack(blocks)) == d
 
 
 def bessel_check_fd(A: SpectralOperator, G: VectorSet) -> float:

@@ -139,13 +139,12 @@ def _cmd_complete(args: argparse.Namespace) -> int:
 
 def _cmd_bessel(args: argparse.Namespace) -> int:
     A, G = _load_inputs(args)
-    L = 1.0 if args.L is None else args.L
     energy = bessel_check_fd(A, G)
-    constant = bessel_upper_constant(A, L)
+    constant = bessel_upper_constant(A, args.L)
     table = [
         "bessel: True (finite families always are)",
         f"generator energy on range(A): {energy:.12g}",
-        f"upper constant over [0, {L:g}]: {constant:.12g}",
+        f"upper constant over [0, {args.L:g}]: {constant:.12g}",
         f"upper bound C <= {energy * constant:.12g}",
     ]
     obj = {
@@ -153,11 +152,11 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
         "range_energy": energy,
         "upper_constant": constant,
         "upper_bound": energy * constant,
-        "L": L,
+        "L": args.L,
     }
     csv_rows = [
         ["bessel", "range_energy", "upper_constant", "upper_bound", "L"],
-        [True, energy, constant, energy * constant, L],
+        [True, energy, constant, energy * constant, args.L],
     ]
     _emit(args, table, obj, csv_rows)
     return 0
@@ -326,20 +325,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, handler, needs_L=False):
+    def common(sp, handler):
         sp.set_defaults(handler=handler)
         sp.add_argument("--op", dest="operator_path", required=True,
                         help="operator JSON file")
         sp.add_argument("--vectors", dest="vectors_path", required=True,
                         help="generator JSON file")
-        sp.add_argument("--L", type=float, default=None, required=needs_L,
-                        help="window length")
         sp.add_argument("--format", dest="output_format", default="table",
                         choices=("table", "json", "csv"))
         sp.add_argument("--out", default=None, help="write output to this file")
 
     sp = sub.add_parser("analyze", help="frame bounds of the windowed system")
-    common(sp, _cmd_analyze, needs_L=True)
+    common(sp, _cmd_analyze)
+    sp.add_argument("--L", type=float, required=True, help="window length")
     sp.add_argument("--method", choices=("closed_form", "quadrature"),
                     default="closed_form")
     sp.add_argument("--panels", type=int, default=256)
@@ -349,27 +347,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bessel", help="upper-bound diagnostics")
     common(sp, _cmd_bessel)
+    sp.add_argument("--L", type=float, default=1.0, help="window length")
 
     sp = sub.add_parser("carleson", help="one-generator frameability diagnostics")
     common(sp, _cmd_carleson)
 
     sp = sub.add_parser("discretize", help="search a uniform grid that keeps the lower bound")
-    common(sp, _cmd_discretize, needs_L=True)
+    common(sp, _cmd_discretize)
+    sp.add_argument("--L", type=float, required=True, help="window length")
     sp.add_argument("--target-ratio", type=float, default=0.5)
     sp.add_argument("--max-points", type=int, default=1 << 20)
 
     sp = sub.add_parser("verify", help="certify the window from a discrete frame")
-    common(sp, _cmd_verify, needs_L=True)
+    common(sp, _cmd_verify)
+    sp.add_argument("--L", type=float, required=True, help="window length")
     sp.add_argument("--times", required=True,
                     help="comma-separated sample times starting at 0")
 
-    sp = sub.add_parser("lscan", help="frame bounds across window lengths")
+    # no abbreviations here, so that a stray --L is not read as --Ls
+    sp = sub.add_parser("lscan", help="frame bounds across window lengths",
+                        allow_abbrev=False)
     common(sp, _cmd_lscan)
     sp.add_argument("--Ls", dest="lengths", required=True,
                     help="comma-separated window lengths, increasing")
 
     sp = sub.add_parser("reconstruct", help="round-trip demo on random states")
-    common(sp, _cmd_reconstruct, needs_L=True)
+    common(sp, _cmd_reconstruct)
+    sp.add_argument("--L", type=float, required=True, help="window length")
     sp.add_argument("--times", type=int, default=32, help="uniform sample count")
     sp.add_argument("--noise", type=float, default=0.0)
     sp.add_argument("--mode", choices=("unweighted", "riemann"),
@@ -397,9 +401,6 @@ def main(argv=None) -> int:
     except (NotAFrame, DiscreteNotFrame) as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return 2
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DynFramesError, ValueError, OSError) as exc:
+    except (CLIError, DynFramesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

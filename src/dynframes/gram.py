@@ -177,14 +177,17 @@ def _sampled_gram_hat(
 def _undiagonalize(A: SpectralOperator, shat: np.ndarray) -> np.ndarray:
     if A.eigenbasis is None:
         return shat
-    return A.eigenbasis @ shat @ A.eigenbasis.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A.eigenbasis @ shat @ A.eigenbasis.conj().T
 
 
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> SemiContGram:
-    """Closed-form Gram of the orbit family over [0, L]."""
+    """Closed-form Gram of the orbit family over [0, L]; DomainError if it overflows."""
     W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
-    S = _undiagonalize(A, W * pair_integral_matrix(A.eigenvalues, L))
-    return SemiContGram(S, float(L), len(G), method="closed_form")
+    P = pair_integral_matrix(A.eigenvalues, L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shat = W * P
+    return SemiContGram(_undiagonalize(A, shat), float(L), len(G), method="closed_form")
 
 
 def discrete_gram(
@@ -220,15 +223,18 @@ def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> fl
     """sum_g integral over [0, L] of |<f, A^t g>|^2 dt, without forming S.
 
     Streams one generator at a time; agrees with the quadratic form of
-    ``semicont_gram`` to rounding.
+    ``semicont_gram`` to rounding. Raises DomainError when the sum overflows.
     """
     fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
     ghat = A.to_eigenbasis(G.vectors)
     P = pair_integral_matrix(A.eigenvalues, L)
     total = 0.0
-    for row in ghat:
-        w = fh * np.conj(row)
-        total += float(np.vdot(w, P @ w).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in ghat:
+            w = fh * np.conj(row)
+            total += float(np.vdot(w, P @ w).real)
+    if not math.isfinite(total):
+        raise DomainError("energy sum is non-finite (overflowed powers)")
     return total
 
 
@@ -258,5 +264,6 @@ def quadrature_gram(
     S = np.zeros((d, d), dtype=np.complex128)
     for g in G:
         V = apply_power_batch(A, nodes, g)
-        S += (wts[:, None] * V).T @ np.conj(V)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S += (wts[:, None] * V).T @ np.conj(V)
     return SemiContGram(S, L, len(G), method="quadrature")

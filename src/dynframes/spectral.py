@@ -316,10 +316,21 @@ def group_eigenspaces(A: SpectralOperator) -> list:
 
     Two indices land in the same group when their eigenvalues are within
     ``A.tolerance`` of each other, taking the transitive closure (a chain of
-    near ties merges into one group).
+    near ties merges into one group). Groups are ordered by their smallest
+    index and carry the eigenvalue at that index.
+
+    Candidate pairs come from one sweep over the eigenvalues sorted by real
+    part: eigenvalues within the tolerance have real parts within it, so
+    each one is compared only with the few that follow it in that order.
     """
     lam = A.eigenvalues
     d = lam.size
+    tol = A.tolerance
+    order = np.argsort(lam.real, kind="stable")
+    srt = lam[order]
+    # the window reaches 2 * tol so that rounding in the subtraction or in
+    # the shifted bound cannot drop a partner; the exact test below decides
+    reach = np.searchsorted(srt.real, srt.real + 2.0 * tol, side="right") - np.arange(d)
     parent = list(range(d))
 
     def find(i):
@@ -328,20 +339,20 @@ def group_eigenspaces(A: SpectralOperator) -> list:
             i = parent[i]
         return i
 
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(lam[i] - lam[j]) <= A.tolerance:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    for k in range(1, int(reach.max())):
+        pos = np.flatnonzero(reach > k)
+        gap = srt[pos + k] - srt[pos]
+        # hypot rounds like the scalar abs(); numpy's vectorised complex
+        # abs can differ by an ulp and flip a tie that sits at the tolerance
+        near = pos[np.hypot(gap.real, gap.imag) <= tol]
+        for i, j in zip(order[near].tolist(), order[near + k].tolist()):
+            parent[find(j)] = find(i)
 
+    # filled in index order, so the groups come out ordered by first index
     groups: dict = {}
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in sorted(groups.values(), key=lambda m: m[0]):
-        out.append(EigenGroup(complex(lam[members[0]]), tuple(members)))
-    return out
+    return [EigenGroup(complex(lam[m[0]]), tuple(m)) for m in groups.values()]
 
 
 def _orbit(A: SpectralOperator, times, f) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared random-system builders and the quadrature and eigen oracles."""
+"""Shared random-system builders and the quadrature, eigen and grouping oracles."""
 
 import math
 
@@ -84,6 +84,36 @@ def simpson_pair_integral(lam, mu, L, panels=1 << 14):
     log_mu = principal_log(mu)
     vals = np.exp(t * log_lam) * np.conj(np.exp(t * log_mu))
     return simpson_quadrature(vals, L)
+
+
+def group_eigenspaces_pairwise(lam, tol):
+    """Eigenvalue groups by comparing every pair of indices: the grouping oracle.
+
+    Union-find over all pairs with abs(lam[i] - lam[j]) <= tol. Returns
+    (value, indices) pairs ordered by first index, with value the eigenvalue
+    at that index, as ``group_eigenspaces`` does.
+    """
+    lam = np.asarray(lam, dtype=np.complex128)
+    d = lam.size
+    parent = list(range(d))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            if abs(lam[i] - lam[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+
+    groups: dict = {}
+    for i in range(d):
+        groups.setdefault(find(i), []).append(i)
+    return [(complex(lam[m[0]]), tuple(m)) for m in sorted(groups.values(), key=lambda m: m[0])]
 
 
 def jacobi_eigh(

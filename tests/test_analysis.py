@@ -16,7 +16,7 @@ from dynframes.analysis import (
     multiplier_bounds,
 )
 from dynframes.errors import DimensionMismatch, DomainError, NonHermitian
-from dynframes.gram import TimeGrid, discrete_gram, semicont_gram
+from dynframes.gram import TimeGrid, bessel_sum, discrete_gram, quadrature_gram, semicont_gram
 from dynframes.reconstruct import heat_cycle_operator
 from dynframes.spectral import (
     SpectralOperator,
@@ -162,7 +162,18 @@ def test_overflow_raises_domain_error_without_warnings():
     # powers or their sums overflow, before numpy can warn about inf or NaN
     A = SpectralOperator(np.array([3.0, 0.5], dtype=complex))
     G = VectorSet(np.array([[1.0, 1.0]], dtype=complex))
+    # at this L the window integral of 3^(2t) is finite, but weighting it by
+    # |3|^2, or rotating it out of the eigenbasis, overflows
+    edge = math.log(1.7e308) / (2.0 * math.log(3.0))
+    G3 = VectorSet(np.array([[3.0, 1.0]], dtype=complex))
+    H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    rotated = SpectralOperator(np.array([3.0, 3.0], dtype=complex), H)
+    g_rotated = VectorSet(np.array([[1.25 * math.sqrt(2.0), 0.0]]))  # ghat = (1.25, 1.25)
     calls = (
+        lambda: semicont_gram(A, G3, edge),
+        lambda: semicont_gram(rotated, g_rotated, edge),
+        lambda: bessel_sum(A, G3, edge, np.array([1.0, 0.0])),
+        lambda: quadrature_gram(A, G3, edge),
         lambda: semicont_gram(A, G, 400.0),
         lambda: discrete_gram(A, G, TimeGrid.uniform(64, 400.0)),
         lambda: discrete_gram(A, G, TimeGrid.uniform(64, 400.0), weights="riemann"),

@@ -10,6 +10,7 @@ from dynframes.catalog import repro_catalog, run_entry
 from dynframes.cli import main
 from dynframes.spectral import SpectralOperator, VectorSet, save_operator, save_vectors
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 @pytest.fixture
 def identity_files(tmp_path):
@@ -110,8 +111,7 @@ def test_analyze_overflowed_gram_exit_code(tmp_path, capsys):
 
 
 def test_readme_file_format_examples_load(tmp_path, capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### File formats", 1)[1]
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1]
     op_doc, vec_doc = re.findall(r"```json\n(.*?)```", section, flags=re.S)[:2]
     op = tmp_path / "op.json"
     vec = tmp_path / "gens.json"
@@ -121,6 +121,15 @@ def test_readme_file_format_examples_load(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert code == 0
     assert blob["complete"] is True
+
+
+def test_readme_quick_start_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    exec(compile(code, "README.md quick start", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].endswith(" frame") and lines[1].endswith(" frame")
 
 
 def test_analyze_out_file(identity_files, tmp_path, capsys):
@@ -294,6 +303,15 @@ def test_seed_belongs_to_reconstruct_only(identity_files, capsys):
         main(["analyze", "--op", op, "--vectors", vec, "--L", "1", "--seed", "5"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["complete"], ["carleson"], ["lscan", "--Ls", "1,2"]])
+def test_window_length_belongs_to_commands_that_read_it(identity_files, capsys, command):
+    op, vec = identity_files
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--op", op, "--vectors", vec, *command[1:], "--L", "5"])
+    assert exc.value.code == 2
+    assert "--L" in capsys.readouterr().err
 
 
 def test_reconstruct_single_sensor_exit_code(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dynframes.errors import DimensionMismatch, DomainError
@@ -30,7 +30,12 @@ from dynframes.spectral import (
     vectors_from_dict,
     vectors_to_dict,
 )
-from helpers import random_normal_operator, random_unitary, simpson_pair_integral
+from helpers import (
+    group_eigenspaces_pairwise,
+    random_normal_operator,
+    random_unitary,
+    simpson_pair_integral,
+)
 
 nonzero_complex = st.builds(
     lambda r, a: cmath.rect(r, a),
@@ -286,6 +291,29 @@ def test_group_eigenspaces_transitive_chain():
     # with a tighter tolerance the chain splits apart
     B = SpectralOperator(lam, tolerance=1e-12)
     assert len(group_eigenspaces(B)) == 4
+
+
+GROUP_TOL = 1e-10
+# clusters around a few centres, one of them zero and one on the branch cut
+# at -1; members sit at 0, 0.3, 0.7 or 2 tolerances from their centre, so
+# pairs fall on both sides of the tolerance and chains form through centres
+clustered_eigenvalue = st.builds(
+    lambda c, step, u: c + step * GROUP_TOL * u,
+    st.sampled_from([0j, -1 + 0j, 1 + 0j, 0.5 + 0.5j, -0.25 + 2j]),
+    st.sampled_from([0.0, 0.3, 0.7, 2.0]),
+    st.sampled_from([1, -1, 1j, -1j, (0.6 + 0.8j)]),
+)
+
+
+@given(lam=st.lists(clustered_eigenvalue, min_size=1, max_size=16))
+@example(lam=[1.0, 1.0, 2.0, 1.0])  # exact ties
+@example(lam=[0.0, 0.5e-10, 0.2e-10 + 5j])  # a tie split by a far value in real order
+@example(lam=[0.0, 0.7e-10, 1.4e-10, 3e-10])  # a chain and a zero eigenvalue
+@example(lam=[-1.0, 2.0, -1.0 - 1e-11j])  # a tie across the branch cut
+def test_group_eigenspaces_matches_pairwise_oracle(lam):
+    A = SpectralOperator(np.array(lam, dtype=complex), tolerance=GROUP_TOL)
+    groups = [(g.value, g.indices) for g in group_eigenspaces(A)]
+    assert groups == group_eigenspaces_pairwise(A.eigenvalues, GROUP_TOL)
 
 
 def test_time_interval_clips_ell():
