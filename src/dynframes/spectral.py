@@ -187,7 +187,12 @@ class SpectralOperator:
                 raise DimensionMismatch(
                     f"eigenbasis shape {basis.shape} does not match dimension {d}"
                 )
-            gram = basis.conj().T @ basis
+            # a real basis stored as complex is checked in real arithmetic,
+            # at a quarter of the flops of the complex product
+            if basis.imag.any():
+                gram = basis.conj().T @ basis
+            else:
+                gram = basis.real.T @ basis.real
             if np.max(np.abs(gram - np.eye(d))) > _ORTHONORMAL_TOL:
                 raise ValueError("eigenbasis columns are not orthonormal")
             basis = basis.copy()
@@ -235,7 +240,10 @@ class SpectralOperator:
             )
         if self.eigenbasis is None:
             return v.copy()
-        return v @ np.conj(self.eigenbasis)
+        # conj(conj(v) U) equals v conj(U) bit for bit, up to the sign of
+        # zero parts, and copies v instead of the d x d basis
+        out = np.conj(v) @ self.eigenbasis
+        return np.conj(out, out=out)
 
     def from_eigenbasis(self, coords: np.ndarray) -> np.ndarray:
         c = np.asarray(coords, dtype=np.complex128)
@@ -319,19 +327,20 @@ def group_eigenspaces(A: SpectralOperator) -> list:
     near ties merges into one group). Groups are ordered by their smallest
     index and carry the eigenvalue at that index.
 
-    Candidate pairs come from one sweep over the eigenvalues sorted by real
-    part: eigenvalues within the tolerance have real parts within it, so
-    each one is compared only with the few that follow it in that order.
+    Exact ties collapse first, so a degenerate spectrum costs what its
+    distinct values cost. Candidate pairs of distinct values come from one
+    sweep in real-part order: values within the tolerance have real parts
+    within it, so each one is compared only with the few that follow it.
     """
     lam = A.eigenvalues
-    d = lam.size
     tol = A.tolerance
-    order = np.argsort(lam.real, kind="stable")
-    srt = lam[order]
+    # sorted lexicographically, so the real parts of srt are nondecreasing
+    srt, inverse = np.unique(lam, return_inverse=True)
+    n = srt.size
     # the window reaches 2 * tol so that rounding in the subtraction or in
     # the shifted bound cannot drop a partner; the exact test below decides
-    reach = np.searchsorted(srt.real, srt.real + 2.0 * tol, side="right") - np.arange(d)
-    parent = list(range(d))
+    reach = np.searchsorted(srt.real, srt.real + 2.0 * tol, side="right") - np.arange(n)
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -344,14 +353,14 @@ def group_eigenspaces(A: SpectralOperator) -> list:
         gap = srt[pos + k] - srt[pos]
         # hypot rounds like the scalar abs(); numpy's vectorised complex
         # abs can differ by an ulp and flip a tie that sits at the tolerance
-        near = pos[np.hypot(gap.real, gap.imag) <= tol]
-        for i, j in zip(order[near].tolist(), order[near + k].tolist()):
-            parent[find(j)] = find(i)
+        for i in pos[np.hypot(gap.real, gap.imag) <= tol].tolist():
+            parent[find(i + k)] = find(i)
 
+    root = [find(i) for i in range(n)]
     # filled in index order, so the groups come out ordered by first index
     groups: dict = {}
-    for i in range(d):
-        groups.setdefault(find(i), []).append(i)
+    for i, u in enumerate(inverse.tolist()):
+        groups.setdefault(root[u], []).append(i)
     return [EigenGroup(complex(lam[m[0]]), tuple(m)) for m in groups.values()]
 
 

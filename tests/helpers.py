@@ -1,12 +1,18 @@
-"""Shared random-system builders and the quadrature, eigen and grouping oracles."""
+"""Shared random-system builders and the quadrature, eigen, grouping and rank oracles."""
 
 import math
 
 import numpy as np
 
+from dynframes.analysis import CompletenessCertificate, GroupRank
 from dynframes.errors import DimensionMismatch, NoConvergence
 from dynframes.gram import _check_hermitian
-from dynframes.spectral import SpectralOperator, VectorSet
+from dynframes.spectral import (
+    SpectralOperator,
+    VectorSet,
+    group_eigenspaces,
+    rank_tolerance_factor,
+)
 
 
 def random_unitary(rng, d):
@@ -114,6 +120,28 @@ def group_eigenspaces_pairwise(lam, tol):
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
     return [(complex(lam[m[0]]), tuple(m)) for m in sorted(groups.values(), key=lambda m: m[0])]
+
+
+def completeness_per_group(A, G):
+    """Spanning certificate with one SVD per eigenvalue group: the rank oracle.
+
+    Each group's (size, |G|) block of eigen-coordinates is ranked on its own,
+    counting singular values above rank_tolerance_factor() times the largest
+    (0 for an all-zero block), as ``completeness_check`` does for whole
+    stacks of blocks at once.
+    """
+    ghat = A.to_eigenbasis(G.vectors)
+    entries = []
+    complete = True
+    for grp in group_eigenspaces(A):
+        block = ghat[:, list(grp.indices)].T
+        svals = np.linalg.svd(block, compute_uv=False)
+        achieved = int(np.count_nonzero(svals > rank_tolerance_factor() * svals[0]))
+        required = len(grp.indices)
+        if achieved < required:
+            complete = False
+        entries.append(GroupRank(grp.value, grp.indices, required, achieved))
+    return CompletenessCertificate(tuple(entries), complete)
 
 
 def jacobi_eigh(

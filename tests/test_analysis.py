@@ -1,8 +1,12 @@
 import math
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dynframes.analysis import (
     FRAME,
@@ -21,12 +25,15 @@ from dynframes.reconstruct import heat_cycle_operator
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
+    default_tolerance,
     pair_integral,
     power_integral,
     principal_power,
+    rank_tolerance_factor,
 )
 from dynframes.catalog import decaying_reciprocal_system, gaussian_decay_system
 from helpers import (
+    completeness_per_group,
     jacobi_eigh,
     principal_log,
     random_normal_operator,
@@ -270,6 +277,58 @@ def test_completeness_agrees_with_brute_force_on_random_systems():
         if expected != got:
             disagreements += 1
     assert disagreements == 0
+
+
+BLOCK_KINDS = ("generic", "zero", "rank_one", "near_cutoff")
+
+
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    m=st.integers(1, 6),
+    step=st.sampled_from([0.0, 0.5, 1.0]),
+    kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=6, max_size=6),
+    with_basis=st.booleans(),
+    env_tol=st.sampled_from([None, "1e-6"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_completeness_batched_ranks_match_per_group_oracle(
+    sizes, m, step, kinds, with_basis, env_tol, seed
+):
+    # groups of mixed sizes whose members are exact ties (step 0) or sit
+    # half or one grouping tolerance apart, so near-ties at the tolerance
+    # split some groups; each group's block is generic, all zero, rank one
+    # or has a singular value near the rank cutoff
+    rng = np.random.default_rng(seed)
+    with mock.patch.dict(os.environ):
+        os.environ.pop("DYNSAMP_TOL", None)
+        if env_tol is not None:
+            os.environ["DYNSAMP_TOL"] = env_tol
+        tol = default_tolerance()
+        lam = np.concatenate([
+            (g + 1) * np.exp(1j * g) + step * tol * np.arange(s)
+            for g, s in enumerate(sizes)
+        ])
+        d = lam.size
+        ghat = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        start = 0
+        for s, kind in zip(sizes, kinds):
+            cols = slice(start, start + s)
+            start += s
+            if kind == "zero":
+                ghat[:, cols] = 0.0
+            elif kind == "rank_one":
+                ghat[:, cols] = np.outer(rng.normal(size=m), rng.normal(size=s))
+            elif kind == "near_cutoff":
+                delta = rng.choice([0.3, 1.0, 3.0]) * rank_tolerance_factor()
+                ghat[:, cols] = (np.outer(rng.normal(size=m), rng.normal(size=s))
+                                 + delta * np.outer(rng.normal(size=m), rng.normal(size=s)))
+        # scatter the groups over the indices
+        perm = rng.permutation(d)
+        A = SpectralOperator(lam[perm], random_unitary(rng, d) if with_basis else None)
+        G = VectorSet(A.from_eigenbasis(ghat[:, perm]))
+        got = completeness_check(A, G)
+        assert got == completeness_per_group(A, G)
+    assert all(type(g.achieved) is int for g in got.groups)
 
 
 def test_frame_implies_complete():

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,15 @@ def test_operator_validation():
     skew = np.eye(3) * 2.0  # columns not unit norm
     with pytest.raises(ValueError):
         SpectralOperator(np.ones(3), skew)
+    # a real basis stored as complex is checked in real arithmetic
+    rng = np.random.default_rng(11)
+    Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    SpectralOperator(np.ones(4), Q.astype(complex))
+    with pytest.raises(ValueError):
+        SpectralOperator(np.ones(4), (Q + 1e-6 * rng.normal(size=(4, 4))).astype(complex))
+    # an orthonormal real part does not make a basis orthonormal
+    with pytest.raises(ValueError):
+        SpectralOperator(np.ones(4), Q + 1e-6j * rng.normal(size=(4, 4)))
 
 
 def test_operator_properties_and_adjoint():
@@ -261,6 +271,36 @@ def test_eigenbasis_round_trip():
     np.testing.assert_allclose(A.from_eigenbasis(A.to_eigenbasis(f)), f, atol=1e-12)
 
 
+def test_to_eigenbasis_does_not_copy_the_basis():
+    rng = np.random.default_rng(19)
+    d = 512
+    A = SpectralOperator(np.arange(d, dtype=complex), random_unitary(rng, d))
+    v = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    tracemalloc.start()
+    try:
+        A.to_eigenbasis(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.eigenbasis.nbytes / 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 200])
+def test_to_eigenbasis_bitwise_equals_conjugated_basis_product(d):
+    rng = np.random.default_rng(23 + d)
+    U = random_unitary(rng, d)
+    A = SpectralOperator(np.ones(d), U)
+    for shape in [(d,), (1, d), (5, d)]:
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert A.to_eigenbasis(v).tobytes() == (v @ np.conj(U)).tobytes()
+    # a real basis and real vectors give equal values; only the sign of
+    # the zero imaginary parts may differ
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    v = rng.normal(size=(3, d))
+    got = SpectralOperator(np.ones(d), Q).to_eigenbasis(v)
+    assert np.array_equal(got, v @ np.conj(Q.astype(complex)))
+
+
 def test_tolerance_default_and_env(monkeypatch):
     A = SpectralOperator(np.ones(2))
     assert A.tolerance == 1e-10
@@ -281,6 +321,9 @@ def test_group_eigenspaces_distinct_and_repeated():
     A = SpectralOperator(np.array([1.0, 2.0, 1.0, 3.0], dtype=complex))
     groups = group_eigenspaces(A)
     assert [g.indices for g in groups] == [(0, 2), (1,), (3,)]
+    # a fully degenerate spectrum is one group, found without pairwise work
+    (only,) = group_eigenspaces(SpectralOperator(np.ones(4096)))
+    assert only.value == 1.0 and only.indices == tuple(range(4096))
 
 
 def test_group_eigenspaces_transitive_chain():
@@ -305,11 +348,20 @@ clustered_eigenvalue = st.builds(
 )
 
 
-@given(lam=st.lists(clustered_eigenvalue, min_size=1, max_size=16))
+# a few clusters of exact ties, up to 64 copies each, in shuffled order
+tied_spectrum = st.lists(
+    st.tuples(clustered_eigenvalue, st.integers(1, 64)), min_size=1, max_size=3
+).flatmap(lambda cl: st.permutations([z for z, k in cl for _ in range(k)]))
+
+
+@given(lam=st.one_of(st.lists(clustered_eigenvalue, min_size=1, max_size=16), tied_spectrum))
 @example(lam=[1.0, 1.0, 2.0, 1.0])  # exact ties
 @example(lam=[0.0, 0.5e-10, 0.2e-10 + 5j])  # a tie split by a far value in real order
 @example(lam=[0.0, 0.7e-10, 1.4e-10, 3e-10])  # a chain and a zero eigenvalue
 @example(lam=[-1.0, 2.0, -1.0 - 1e-11j])  # a tie across the branch cut
+@example(lam=[0.5 + 0.5j] * 64)  # a fully degenerate spectrum
+@example(lam=[1.0, 1.0 + 0.7e-10] * 32 + [1.0 + 1.4e-10])  # tied clusters chained
+@example(lam=[0.0, -0.0, complex(-0.0, 0.0), 1e-11])  # signed zeros are one value
 def test_group_eigenspaces_matches_pairwise_oracle(lam):
     A = SpectralOperator(np.array(lam, dtype=complex), tolerance=GROUP_TOL)
     groups = [(g.value, g.indices) for g in group_eigenspaces(A)]
