@@ -1,8 +1,8 @@
 """Frame-theoretic analysis of orbit systems: bounds, completeness, Carleson.
 
-Frame bounds are the extreme eigenvalues of the Hermitian Gram, computed by
-LAPACK through ``numpy.linalg.eigvalsh``. The tests check them against an
-independent cyclic Jacobi solver.
+Frame bounds are the extreme eigenvalues of a Gram in eigen-coordinates, its
+``hat``, computed by LAPACK through ``numpy.linalg.eigvalsh``. The tests check
+them against a cyclic Jacobi solver and a 40-digit mpmath eigensolve.
 """
 
 from __future__ import annotations
@@ -110,29 +110,22 @@ class CarlesonReport:
         }
 
 
-def _unwrap_gram(S) -> tuple:
-    if isinstance(S, SemiContGram):
-        return S.matrix, S.method
-    if isinstance(S, DiscreteGram):
-        return S.matrix, "discrete"
-    M = np.asarray(S, dtype=np.complex128)
-    return M, "matrix"
-
-
 def frame_bounds(S) -> FrameReport:
-    """Extreme eigenvalues of a Gram matrix and the frame classification.
+    """Extreme eigenvalues of a Gram (its ``hat``) and the frame classification.
 
     The system is a frame exactly when the lower bound clears the relative
     rank tolerance (1e-9 times the upper bound by default); otherwise the
     family fails to span and the report says ``incomplete``.
     """
-    M, src = _unwrap_gram(S)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch("gram matrix must be square")
-    _check_hermitian(M, "frame_bounds input")
+    if isinstance(S, (SemiContGram, DiscreteGram)):
+        M, src = S.hat, S.method
+    else:
+        M, src = _check_hermitian(S, "frame_bounds input"), "matrix"
     # the Hermitian part, so the bounds do not depend on which triangle
-    # LAPACK reads when M carries rounding-level asymmetry
-    w = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    # LAPACK reads; halving first keeps it finite for every finite M
+    w = np.linalg.eigvalsh(0.5 * M + 0.5 * M.conj().T)
+    if not np.isfinite(w).all():
+        raise DomainError("gram eigenvalues are non-finite (its norm overflows)")
     lower = float(w[0])
     upper = float(w[-1])
     if lower < -1e-9 * max(1.0, abs(upper)):

@@ -5,16 +5,18 @@ form in the eigenbasis: with ghat = U* g,
 
     Shat[j, k] = sum_g ghat_j conj(ghat_k) * pair_integral(lambda_j, lambda_k, L)
 
-and S = U Shat U*. Discrete time sets replace the pair integral by a
-(weighted) sum of principal powers. A composite-Simpson quadrature route is
-kept deliberately independent of the closed form so each can check the other.
+and S = U Shat U*, which a Gram builds from its ``hat`` only when ``.matrix``
+is read. Discrete time sets replace the pair integral by a (weighted) sum of
+principal powers. A composite-Simpson route, built dense from orbit samples,
+stays independent of the closed form so each can check the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,15 +43,22 @@ __all__ = [
 _HERMITIAN_TOL = 1e-8
 
 
-def _check_hermitian(S: np.ndarray, label: str) -> None:
+def _check_hermitian(S, label: str) -> np.ndarray:
+    """S as a complex array; raises unless it is square, finite and Hermitian."""
+    S = np.asarray(S, dtype=np.complex128)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise DimensionMismatch("gram matrix must be square")
     if not np.isfinite(S).all():
         raise DomainError(
             f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
         )
-    scale = max(1.0, float(np.max(np.abs(S))) if S.size else 1.0)
-    asym = float(np.max(np.abs(S - S.conj().T)))
+    # an asymmetry that overflows is inf, which still exceeds the tolerance
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.max(np.abs(S))) if S.size else 1.0)
+        asym = float(np.max(np.abs(S - S.conj().T)))
     if asym > _HERMITIAN_TOL * scale:
         raise NonHermitian(f"{label} asymmetry {asym:.3e} exceeds tolerance")
+    return S
 
 
 @dataclass(frozen=True)
@@ -99,48 +108,61 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class SemiContGram:
+class _EigenGram:
+    """Hermitian Gram S = U hat U*, U the unitary ``eigenbasis`` (None: identity)."""
+
+    hat: np.ndarray
+    eigenbasis: Optional[np.ndarray] = field(default=None, kw_only=True)
+
+    def _freeze(self, label: str) -> None:
+        S = _check_hermitian(self.hat, label).copy()
+        S.setflags(write=False)
+        object.__setattr__(self, "hat", S)
+        if self.eigenbasis is not None and np.shape(self.eigenbasis) != S.shape:
+            raise DimensionMismatch("eigenbasis must match the gram's dimension")
+
+    @property
+    def dimension(self) -> int:
+        return int(self.hat.shape[0])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """S, built on first read; DomainError when it overflows."""
+        if self.eigenbasis is None:
+            return self.hat
+        U = np.asarray(self.eigenbasis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = _require_finite(U @ self.hat @ U.conj().T, "gram matrix")
+        S.setflags(write=False)
+        return S
+
+
+@dataclass(frozen=True)
+class SemiContGram(_EigenGram):
     """Frame operator over G x [0, L]; ``method`` records how it was built."""
 
-    matrix: np.ndarray
     L: float
     generator_count: int
     method: str = "closed_form"
 
     def __post_init__(self):
-        S = np.asarray(self.matrix, dtype=np.complex128)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise DimensionMismatch("gram matrix must be square")
-        _check_hermitian(S, "semi-continuous gram")
+        self._freeze("semi-continuous gram")
         if self.method not in ("closed_form", "quadrature"):
             raise ValueError(f"unknown gram method {self.method!r}")
-        S = S.copy()
-        S.setflags(write=False)
-        object.__setattr__(self, "matrix", S)
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "generator_count", int(self.generator_count))
 
-    @property
-    def dimension(self) -> int:
-        return int(self.matrix.shape[0])
-
 
 @dataclass(frozen=True)
-class DiscreteGram:
+class DiscreteGram(_EigenGram):
     """Frame operator of {A^t g : g in G, t in T} with optional weights."""
 
-    matrix: np.ndarray
     times: TimeGrid
     weights: Optional[np.ndarray] = None
+    method: ClassVar[str] = "discrete"
 
     def __post_init__(self):
-        S = np.asarray(self.matrix, dtype=np.complex128)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise DimensionMismatch("gram matrix must be square")
-        _check_hermitian(S, "discrete gram")
-        S = S.copy()
-        S.setflags(write=False)
-        object.__setattr__(self, "matrix", S)
+        self._freeze("discrete gram")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
             if w.size != len(self.times):
@@ -150,10 +172,6 @@ class DiscreteGram:
             w = w.copy()
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.matrix.shape[0])
 
 
 def _hat_weight_matrix(ghat: np.ndarray) -> np.ndarray:
@@ -174,20 +192,13 @@ def _sampled_gram_hat(
     return _hat_weight_matrix(ghat) * _require_finite(P, "sampled power sum")
 
 
-def _undiagonalize(A: SpectralOperator, shat: np.ndarray) -> np.ndarray:
-    if A.eigenbasis is None:
-        return shat
-    with np.errstate(over="ignore", invalid="ignore"):
-        return A.eigenbasis @ shat @ A.eigenbasis.conj().T
-
-
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> SemiContGram:
     """Closed-form Gram of the orbit family over [0, L]; DomainError if it overflows."""
     W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
     P = pair_integral_matrix(A.eigenvalues, L)
     with np.errstate(over="ignore", invalid="ignore"):
         shat = W * P
-    return SemiContGram(_undiagonalize(A, shat), float(L), len(G), method="closed_form")
+    return SemiContGram(shat, float(L), len(G), eigenbasis=A.eigenbasis)
 
 
 def discrete_gram(
@@ -215,24 +226,19 @@ def discrete_gram(
             raise DimensionMismatch("one weight per grid time is required")
 
     M = _power_profile(A.eigenvalues, T.times)
-    S = _undiagonalize(A, _sampled_gram_hat(ghat, M, w))
-    return DiscreteGram(S, T, w)
+    return DiscreteGram(_sampled_gram_hat(ghat, M, w), T, w, eigenbasis=A.eigenbasis)
 
 
 def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> float:
     """sum_g integral over [0, L] of |<f, A^t g>|^2 dt, without forming S.
 
-    Streams one generator at a time; agrees with the quadratic form of
-    ``semicont_gram`` to rounding. Raises DomainError when the sum overflows.
+    The quadratic form of ``semicont_gram``'s ``hat`` at the eigen-coordinates
+    of f. Raises DomainError when the sum overflows.
     """
     fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
-    ghat = A.to_eigenbasis(G.vectors)
-    P = pair_integral_matrix(A.eigenvalues, L)
-    total = 0.0
+    shat = semicont_gram(A, G, L).hat
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in ghat:
-            w = fh * np.conj(row)
-            total += float(np.vdot(w, P @ w).real)
+        total = float(np.vdot(fh, shat @ fh).real)
     if not math.isfinite(total):
         raise DomainError("energy sum is non-finite (overflowed powers)")
     return total

@@ -91,7 +91,11 @@ def test_jacobi_complex_phase_handling():
 
 def test_frame_bounds_agrees_with_jacobi_oracle():
     # closed-form and discrete Grams of random systems in random eigenbases:
-    # LAPACK's extreme eigenvalues must match the independent Jacobi sweeps
+    # LAPACK's extreme eigenvalues must match the independent Jacobi sweeps.
+    # The bounds from hat and from the dense S = U hat U* differ by rounding
+    # only, that of forming S and of two eigensolves, each a small multiple
+    # of d eps times the norm
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(61)
     for k in range(40):
         d = int(rng.integers(1, 13))
@@ -108,6 +112,55 @@ def test_frame_bounds_agrees_with_jacobi_oracle():
         assert rep.method.startswith("eigvalsh/")
         assert rep.upper == pytest.approx(w[-1], abs=1e-10 * w[-1])
         assert rep.lower == pytest.approx(max(w[0], 0.0), abs=1e-10 * w[-1])
+        dense = frame_bounds(gram.matrix)
+        assert abs(rep.upper - dense.upper) <= 16 * eps * dense.upper
+        assert abs(rep.lower - dense.lower) <= 16 * eps * dense.upper
+
+
+def _mpmath_window_bounds(mp, lam, ghat, L):
+    """Extreme eigenvalues of the window Gram's hat, built and solved in mpmath."""
+    # the package's principal log puts the cut at arg -pi, mpmath's at +pi
+    logs = [mp.log(mp.mpc(z)) for z in lam]
+    logs = [x - 2j * mp.pi if x.imag == mp.pi else x for x in logs]
+    gh = [[mp.mpc(z) for z in row] for row in ghat]
+    d = len(lam)
+    S = mp.matrix(d, d)
+    for j in range(d):
+        for k in range(d):
+            a = logs[j] + mp.conj(logs[k])
+            P = (mp.exp(L * a) - 1) / a
+            S[j, k] = P * sum(row[j] * mp.conj(row[k]) for row in gh)
+    w = mp.eighe(S, eigvals_only=True)
+    return float(min(w)), float(max(w))
+
+
+def test_frame_bounds_agree_with_mpmath_on_ill_conditioned_systems():
+    # random d = 8 systems, normal and self-adjoint, whose lower/upper lies
+    # in [1e-12, 1e-4] at L = 5, against a 40-digit eigensolve of the hat
+    # built from the same eigenvalues and eigen-coordinates. The lower bound
+    # must match to 4 eps times the upper bound. The upper bound also carries
+    # the window integrals' own rounding, exp(L log lambda) amplifying that
+    # of log lambda, which reaches about 6 eps times the upper bound here
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(83)
+    L = 5.0
+    checked = 0
+    while checked < 20:
+        if checked % 2:
+            A = random_self_adjoint_operator(rng, 8)
+        else:
+            A = random_normal_operator(rng, 8, min_mod=0.3, max_mod=1.5)
+        G = random_vectors(rng, int(rng.integers(1, 3)), 8)
+        rep = frame_bounds(semicont_gram(A, G, L))
+        if not 1e-12 <= rep.lower / rep.upper <= 1e-4:
+            continue
+        with mpmath.workdps(40):
+            lower, upper = _mpmath_window_bounds(
+                mpmath.mp, A.eigenvalues, A.to_eigenbasis(G.vectors), L)
+        assert abs(rep.lower - lower) <= 4 * eps * upper
+        assert abs(rep.upper - upper) <= 16 * eps * upper
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +223,22 @@ def test_overflow_raises_domain_error_without_warnings():
     A = SpectralOperator(np.array([3.0, 0.5], dtype=complex))
     G = VectorSet(np.array([[1.0, 1.0]], dtype=complex))
     # at this L the window integral of 3^(2t) is finite, but weighting it by
-    # |3|^2, or rotating it out of the eigenbasis, overflows
+    # |3|^2 overflows. With ghat = (1.25, 1.25) the Gram is 1.2e308 * ones,
+    # finite in eigen-coordinates, but its norm 2.4e308 is not, so its
+    # eigenvalues and its rotation out of the eigenbasis overflow
     edge = math.log(1.7e308) / (2.0 * math.log(3.0))
     G3 = VectorSet(np.array([[3.0, 1.0]], dtype=complex))
     H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     rotated = SpectralOperator(np.array([3.0, 3.0], dtype=complex), H)
     g_rotated = VectorSet(np.array([[1.25 * math.sqrt(2.0), 0.0]]))  # ghat = (1.25, 1.25)
+    diagonal = SpectralOperator(np.array([3.0, 3.0], dtype=complex))
+    g_diagonal = VectorSet(np.array([[1.25, 1.25]], dtype=complex))
     calls = (
         lambda: semicont_gram(A, G3, edge),
-        lambda: semicont_gram(rotated, g_rotated, edge),
+        lambda: frame_bounds(semicont_gram(rotated, g_rotated, edge)),
+        lambda: semicont_gram(rotated, g_rotated, edge).matrix,
+        lambda: frame_bounds(semicont_gram(diagonal, g_diagonal, edge)),
+        lambda: frame_bounds(np.full((2, 2), 1.2e308)),
         lambda: bessel_sum(A, G3, edge, np.array([1.0, 0.0])),
         lambda: quadrature_gram(A, G3, edge),
         lambda: semicont_gram(A, G, 400.0),
@@ -193,6 +253,9 @@ def test_overflow_raises_domain_error_without_warnings():
         for call in calls:
             with pytest.raises(DomainError, match="non-finite"):
                 call()
+        # a finite asymmetry that overflows when formed is still rejected
+        with pytest.raises(NonHermitian):
+            frame_bounds(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 def test_frame_bounds_unitary_invariance():

@@ -13,6 +13,7 @@ from dynframes.gram import (
     quadrature_gram,
     semicont_gram,
 )
+from dynframes.analysis import frame_bounds
 from dynframes.spectral import SpectralOperator, VectorSet
 from dynframes.catalog import gap_pair_system, gaussian_decay_system
 from helpers import random_normal_operator, random_unitary, random_vectors
@@ -253,3 +254,39 @@ def test_gram_containers_reject_asymmetry():
         DiscreteGram(bad, TimeGrid(np.array([0.0]), 1.0))
     with pytest.raises(ValueError):
         SemiContGram(np.eye(2), 1.0, 1, method="guesswork")
+    with pytest.raises(DimensionMismatch):
+        SemiContGram(np.ones((2, 3)), 1.0, 1)
+    with pytest.raises(DimensionMismatch):
+        DiscreteGram(np.eye(2), TimeGrid(np.array([0.0]), 1.0), eigenbasis=np.eye(3))
+
+
+def test_grams_hold_eigen_coordinates_and_build_the_matrix_on_request():
+    rng = np.random.default_rng(71)
+    eps = np.finfo(float).eps
+    for k in range(12):
+        d = int(rng.integers(1, 9))
+        A = random_normal_operator(rng, d, max_mod=2.0, with_basis=k % 3 != 0)
+        G = random_vectors(rng, int(rng.integers(1, 4)), d)
+        L = float(rng.uniform(0.25, 2.0))
+        T = TimeGrid.uniform(d + 2, L)
+        for gram in (semicont_gram(A, G, L), discrete_gram(A, G, T),
+                     discrete_gram(A, G, T, weights="riemann")):
+            frame_bounds(gram)
+            assert "matrix" not in vars(gram)
+            assert gram.eigenbasis is A.eigenbasis
+            assert not gram.hat.flags.writeable
+            S = gram.matrix
+            assert gram.matrix is S
+            assert not S.flags.writeable
+            with pytest.raises(ValueError):
+                S[0, 0] = 0.0
+            if A.eigenbasis is None:
+                assert S is gram.hat
+            else:
+                U = A.eigenbasis
+                np.testing.assert_allclose(
+                    S, U @ gram.hat @ U.conj().T, rtol=0, atol=4 * eps * np.abs(S).max())
+    # the quadrature oracle is built dense, in the standard basis
+    quad = quadrature_gram(A, G, 1.0, panels=16)
+    assert quad.eigenbasis is None
+    assert quad.matrix is quad.hat
