@@ -52,12 +52,14 @@ def _check_hermitian(S, label: str) -> np.ndarray:
         raise DomainError(
             f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
         )
-    # an asymmetry that overflows is inf, which still exceeds the tolerance
+    # halved, so the scale cannot overflow to inf and pass every asymmetry (the
+    # test is unchanged); an asymmetry that still overflows is inf and fails
+    half = 0.5 * S
     with np.errstate(over="ignore"):
-        scale = max(1.0, float(np.max(np.abs(S))) if S.size else 1.0)
-        asym = float(np.max(np.abs(S - S.conj().T)))
+        scale = max(0.5, float(np.max(np.abs(half))) if S.size else 0.5)
+        asym = float(np.max(np.abs(half - half.conj().T)))
     if asym > _HERMITIAN_TOL * scale:
-        raise NonHermitian(f"{label} asymmetry {asym:.3e} exceeds tolerance")
+        raise NonHermitian(f"{label} asymmetry {2.0 * asym:.3e} exceeds tolerance")
     return S
 
 

@@ -8,6 +8,9 @@ frame operator, one direct LAPACK solve gives the state. Note (A^t)* is
 built by conjugating the principal powers of the eigenvalues; it differs
 from (A*)^t on the negative real axis, where conjugation does not flip the
 branch argument -pi.
+
+Both work on one m x n array of samples (generators by times), computed in
+eigen-coordinates by ``sample`` and read back in any record order by ``reconstruct``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotAFrame
 from .analysis import FRAME, frame_bounds
 from .gram import TimeGrid, _sampled_gram_hat
-from .spectral import SpectralOperator, VectorSet, _power_profile, apply_power_batch
+from .spectral import SpectralOperator, VectorSet, _power_profile
 
 __all__ = [
     "SampleRecord",
@@ -70,15 +73,11 @@ def sample(A: SpectralOperator, G: VectorSet, f: np.ndarray, T: TimeGrid) -> lis
     fv = np.asarray(f, dtype=np.complex128).reshape(-1)
     if fv.size != A.dimension or G.dimension != A.dimension:
         raise DimensionMismatch("state, generators and operator must share C^d")
-    orbit = apply_power_batch(A, T.times, fv)
-    records = []
-    for gi, g in enumerate(G, start=1):
-        vals = orbit @ np.conj(g)
-        records.extend(
-            SampleRecord(gi, float(t), complex(v))
-            for t, v in zip(T.times, vals)
-        )
-    return records
+    # values[g, i] = <lambda^{t_i} * fhat, ghat_g> in eigen-coordinates
+    orbit_hat = _power_profile(A.eigenvalues, T.times) * A.to_eigenbasis(fv)
+    values = np.conj(A.to_eigenbasis(G.vectors)) @ orbit_hat.T
+    return list(map(SampleRecord, np.repeat(np.arange(1, len(G) + 1), len(T)).tolist(),
+                    np.tile(T.times, len(G)).tolist(), values.ravel().tolist()))
 
 
 def reconstruct(
@@ -91,11 +90,11 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Solve the normal equations of the sampling map.
 
-    ``samples`` must cover the full generator-by-time product set. With
-    mode="riemann" the terms are weighted by left-rule panel widths, which
-    needs the window length L. When ``truth`` is supplied the reported
-    residual is the relative error against it; otherwise it is the relative
-    normal-equation residual.
+    ``samples`` must cover the full generator-by-time product set, once
+    each, in any order. With mode="riemann" the terms are weighted by
+    left-rule panel widths, which needs the window length L. When ``truth``
+    is supplied the reported residual is the relative error against it;
+    otherwise it is the relative normal-equation residual.
 
     Raises NotAFrame when the sampled system cannot determine the state.
     """
@@ -103,25 +102,28 @@ def reconstruct(
         raise ValueError(f"unknown mode {mode!r}")
     if not samples:
         raise ValueError("no samples given")
-    m = len(G)
-    table = {}
-    for rec in samples:
-        if not 1 <= rec.generator_index <= m:
-            raise ValueError(
-                f"generator_index {rec.generator_index} outside 1..{m}"
-            )
-        key = (rec.generator_index, rec.time)
-        if key in table:
-            raise ValueError(f"duplicate sample for generator {key[0]} at t={key[1]}")
-        table[key] = rec.value
-    times = np.array(sorted({rec.time for rec in samples}))
-    missing = [
-        (gi, t) for gi in range(1, m + 1) for t in times if (gi, float(t)) not in table
-    ]
+    m, count = len(G), len(samples)
+    try:
+        index = np.fromiter((r.generator_index for r in samples), np.int64, count)
+    except OverflowError:  # an index beyond int64 is out of range; keep it exact
+        index = np.array([r.generator_index for r in samples], dtype=object)
+    times, column = np.unique(np.fromiter((r.time for r in samples), np.float64, count),
+                              return_inverse=True)
+    n = times.size
+    outside = (index < 1) | (index > m)
+    if outside.any():
+        raise ValueError(f"generator_index {index[outside][0]} outside 1..{m}")
+    # slot k = (g - 1) * n + i counts the records of generator g at times[i]
+    hits = np.bincount((index - 1) * n + column, minlength=m * n)
+    if hits.max() > 1:
+        g, i = divmod(int(np.argmax(hits > 1)), n)
+        raise ValueError(f"duplicate sample for generator {g + 1} at t={float(times[i])}")
+    missing = np.flatnonzero(hits == 0)[:3].tolist()
     if missing:
-        raise ValueError(
-            f"samples must cover all generator/time pairs; missing {missing[:3]}"
-        )
+        pairs = [(k // n + 1, float(times[k % n])) for k in missing]
+        raise ValueError(f"samples must cover all generator/time pairs; missing {pairs}")
+    vals = np.empty((m, n), dtype=np.complex128)
+    vals[index - 1, column] = np.fromiter((r.value for r in samples), np.complex128, count)
 
     if mode == "riemann":
         if L is None:
@@ -137,7 +139,6 @@ def reconstruct(
     profile = np.conj(_power_profile(A.eigenvalues, grid.times))
     ghat = A.to_eigenbasis(G.vectors)
     S_hat = _sampled_gram_hat(ghat, profile, weights)
-    vals = np.array([[table[(gi, float(t))] for t in times] for gi in range(1, m + 1)])
     b_hat = np.sum(ghat * ((vals * weights) @ profile), axis=0)
     report = frame_bounds(S_hat)
     if report.classification != FRAME:

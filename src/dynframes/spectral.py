@@ -9,6 +9,9 @@ Two vectorised kernels compute every power and window integral in the
 package: ``_power_profile`` (samples ``lambda^t``) and ``_window_integral``
 (``(e^{L alpha} - 1) / alpha``). They are where an overflowing power becomes
 a ``DomainError``; the scalar functions below are thin wrappers on them.
+
+JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
+in one conversion. A malformed document raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -189,11 +192,14 @@ class SpectralOperator:
                 )
             # a real basis stored as complex is checked in real arithmetic,
             # at a quarter of the flops of the complex product
-            if basis.imag.any():
-                gram = basis.conj().T @ basis
-            else:
-                gram = basis.real.T @ basis.real
-            if np.max(np.abs(gram - np.eye(d))) > _ORTHONORMAL_TOL:
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite or huge basis
+                if basis.imag.any():
+                    gram = basis.conj().T @ basis
+                else:
+                    gram = basis.real.T @ basis.real
+            if not np.max(np.abs(gram - np.eye(d))) <= _ORTHONORMAL_TOL:  # NaN fails too
+                if not np.isfinite(basis).all():
+                    raise ValueError("eigenbasis must be finite")
                 raise ValueError("eigenbasis columns are not orthonormal")
             basis = basis.copy()
             basis.setflags(write=False)
@@ -383,28 +389,27 @@ def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray
 # JSON interchange
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _to_pairs(z: np.ndarray) -> list:
+    return np.stack((z.real, z.imag), -1).tolist()
 
 
-def pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def _from_pairs(raw, shape: tuple, what: str) -> np.ndarray:
+    """Complex array of ``shape`` from nested [re, im] pairs, bit for bit; null is NaN."""
+    try:
+        pairs = np.array(raw, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
+        pairs = np.empty(0)
+    if pairs.shape != (*shape, 2):
+        raise ValueError(f"{what} must be an array of {shape} [re, im] number pairs")
+    return pairs.view(np.complex128)[..., 0]
 
 
 def operator_to_dict(A: SpectralOperator) -> dict:
-    basis = None
-    if A.eigenbasis is not None:
-        basis = [
-            [complex_to_pair(A.eigenbasis[i, j]) for i in range(A.dimension)]
-            for j in range(A.dimension)
-        ]
     return {
         "dimension": A.dimension,
-        "eigenvalues": [complex_to_pair(z) for z in A.eigenvalues],
-        "eigenbasis": basis,
+        "eigenvalues": _to_pairs(A.eigenvalues),
+        # the file lists the basis column by column
+        "eigenbasis": None if A.eigenbasis is None else _to_pairs(A.eigenbasis.T),
         "tolerance": A.tolerance,
     }
 
@@ -416,31 +421,23 @@ def operator_from_dict(data: dict) -> SpectralOperator:
         raw = data["eigenvalues"]
     except KeyError as exc:
         raise ValueError(f"operator document missing key {exc}") from None
-    lam = np.array([pair_to_complex(p) for p in raw], dtype=np.complex128)
-    d = int(data.get("dimension", lam.size))
-    if lam.size != d:
-        raise ValueError(
-            f"dimension field is {d} but {lam.size} eigenvalues were given"
-        )
-    basis = None
-    raw_basis = data.get("eigenbasis")
-    if raw_basis is not None:
-        if len(raw_basis) != d:
-            raise ValueError("eigenbasis must have one column per eigenvalue")
-        basis = np.empty((d, d), dtype=np.complex128)
-        for j, col in enumerate(raw_basis):
-            if len(col) != d:
-                raise ValueError(f"eigenbasis column {j} has wrong length")
-            basis[:, j] = [pair_to_complex(p) for p in col]
-    tol = data.get("tolerance")
-    return SpectralOperator(lam, basis, -1.0 if tol is None else float(tol))
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("eigenvalues must be a nonempty list of [re, im] pairs")
+    d = len(raw)
+    if data.get("dimension", d) != d:
+        raise ValueError(f"dimension field is {data['dimension']} but {d} eigenvalues were given")
+    lam = _from_pairs(raw, (d,), "eigenvalues")
+    raw_basis, tol = data.get("eigenbasis"), data.get("tolerance")
+    basis = None if raw_basis is None else _from_pairs(raw_basis, (d, d), "eigenbasis").T
+    try:
+        tol = -1.0 if tol is None else float(tol)
+    except (TypeError, OverflowError):
+        raise ValueError(f"tolerance must be a number, got {tol!r}") from None
+    return SpectralOperator(lam, basis, tol)
 
 
 def vectors_to_dict(G: VectorSet) -> dict:
-    out = {
-        "dimension": G.dimension,
-        "vectors": [[complex_to_pair(x) for x in g] for g in G],
-    }
+    out = {"dimension": G.dimension, "vectors": _to_pairs(G.vectors)}
     if G.labels is not None:
         out["labels"] = list(G.labels)
     return out
@@ -453,17 +450,16 @@ def vectors_from_dict(data: dict) -> VectorSet:
         raw = data["vectors"]
     except KeyError as exc:
         raise ValueError(f"vector document missing key {exc}") from None
-    if not raw:
-        raise ValueError("vector document contains no vectors")
-    d = int(data.get("dimension", len(raw[0])))
-    rows = []
+    if not (raw and isinstance(raw, list) and all(isinstance(vec, list) for vec in raw)):
+        raise ValueError("vectors must be a nonempty list of lists of [re, im] pairs")
+    d = data.get("dimension", len(raw[0]))
     for i, vec in enumerate(raw):
         if len(vec) != d:
             raise ValueError(f"vector {i} has length {len(vec)}, expected {d}")
-        rows.append([pair_to_complex(p) for p in vec])
     labels = data.get("labels")
-    return VectorSet(np.array(rows, dtype=np.complex128),
-                     None if labels is None else tuple(labels))
+    if not (labels is None or isinstance(labels, list)):
+        raise ValueError("labels must be a list")
+    return VectorSet(_from_pairs(raw, (len(raw), d), "vectors"), labels)
 
 
 def load_operator(path) -> SpectralOperator:

@@ -1,4 +1,4 @@
-"""Shared random-system builders and the quadrature, eigen, grouping and rank oracles."""
+"""Shared random-system builders and the quadrature, eigen, grouping, rank and JSON oracles."""
 
 import math
 
@@ -64,6 +64,63 @@ def random_self_adjoint_operator(rng, d, min_mod=0.3, max_mod=2.5,
 def random_vectors(rng, m, d):
     v = (rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))) / np.sqrt(2.0)
     return VectorSet(v)
+
+
+# ---------------------------------------------------------------------------
+# element-by-element JSON documents, the oracle for the package's array
+# conversion
+
+
+def complex_to_pair(z):
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def pair_to_complex(pair):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"expected a [re, im] pair, got {pair!r}")
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def operator_to_dict_by_element(A):
+    basis = None
+    if A.eigenbasis is not None:
+        basis = [
+            [complex_to_pair(A.eigenbasis[i, j]) for i in range(A.dimension)]
+            for j in range(A.dimension)
+        ]
+    return {
+        "dimension": A.dimension,
+        "eigenvalues": [complex_to_pair(z) for z in A.eigenvalues],
+        "eigenbasis": basis,
+        "tolerance": A.tolerance,
+    }
+
+
+def operator_arrays_by_element(data):
+    """Eigenvalues and basis (None for null) of an operator document."""
+    lam = np.array([pair_to_complex(p) for p in data["eigenvalues"]], dtype=np.complex128)
+    basis = None
+    if data.get("eigenbasis") is not None:
+        basis = np.empty((lam.size, lam.size), dtype=np.complex128)
+        for j, col in enumerate(data["eigenbasis"]):
+            basis[:, j] = [pair_to_complex(p) for p in col]
+    return lam, basis
+
+
+def vectors_to_dict_by_element(G):
+    out = {
+        "dimension": G.dimension,
+        "vectors": [[complex_to_pair(x) for x in g] for g in G],
+    }
+    if G.labels is not None:
+        out["labels"] = list(G.labels)
+    return out
+
+
+def vectors_array_by_element(data):
+    return np.array([[pair_to_complex(p) for p in vec] for vec in data["vectors"]],
+                    dtype=np.complex128)
 
 
 def simpson_quadrature(values, L):

@@ -253,9 +253,12 @@ def test_overflow_raises_domain_error_without_warnings():
         for call in calls:
             with pytest.raises(DomainError, match="non-finite"):
                 call()
-        # a finite asymmetry that overflows when formed is still rejected
+        # a finite asymmetry that overflows when formed is still rejected,
+        # and so is one whose entry's modulus overflows
         with pytest.raises(NonHermitian):
             frame_bounds(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        with pytest.raises(NonHermitian):
+            frame_bounds(np.array([[1.0, 0.0], [1.3e308 + 1.3e308j, 1.0]]))
 
 
 def test_frame_bounds_unitary_invariance():

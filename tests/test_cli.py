@@ -123,6 +123,35 @@ def test_readme_file_format_examples_load(tmp_path, capsys):
     assert blob["complete"] is True
 
 
+_GOOD_OP = {"eigenvalues": [[1.0, 0.0], [0.5, 0.0]]}
+_GOOD_VECTORS = {"vectors": [[[1.0, 0.0], [1.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("kind, doc", [
+    pytest.param("op", {"eigenvalues": [[1.0, None], [0.5, 0.0]]}, id="null-eigenvalue"),
+    pytest.param("op", {**_GOOD_OP, "eigenbasis": [[[1.0, None], [0.0, 0.0]],
+                                                   [[0.0, 0.0], [1.0, 0.0]]]},
+                 id="null-in-basis"),
+    pytest.param("op", {**_GOOD_OP, "eigenbasis": [5, [[0.0, 0.0], [1.0, 0.0]]]},
+                 id="number-as-basis-column"),
+    pytest.param("op", {**_GOOD_OP, "dimension": None}, id="null-dimension"),
+    pytest.param("op", {"eigenvalues": 5}, id="number-as-eigenvalues"),
+    pytest.param("op", {**_GOOD_OP, "tolerance": [1]}, id="list-as-tolerance"),
+    pytest.param("op", {"eigenvalues": [[10**400, 0.0], [0.5, 0.0]]}, id="integer-beyond-double"),
+    pytest.param("vectors", {"vectors": [5]}, id="number-as-vector"),
+    pytest.param("vectors", {**_GOOD_VECTORS, "labels": 5}, id="number-as-labels"),
+])
+def test_malformed_documents_are_input_errors(tmp_path, capsys, kind, doc):
+    docs = {"op": _GOOD_OP, "vectors": _GOOD_VECTORS, kind: doc}
+    paths = {}
+    for name, content in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content), encoding="utf-8")
+    code = main(["complete", "--op", str(paths["op"]), "--vectors", str(paths["vectors"])])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid {kind} file {paths[kind]}: ")
+
+
 def test_readme_quick_start_runs(capsys):
     section = README.read_text(encoding="utf-8").split("## Quick start (library)", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)

@@ -10,7 +10,7 @@ from dynframes.reconstruct import (
     reconstruct,
     sample,
 )
-from dynframes.spectral import SpectralOperator, VectorSet
+from dynframes.spectral import SpectralOperator, VectorSet, apply_power_batch
 from helpers import random_normal_operator, random_self_adjoint_operator, random_vectors
 
 
@@ -72,6 +72,22 @@ def test_sample_heat_cycle_frozen_regression():
         (V @ (np.exp(-t * w) * (V.T @ np.eye(8)[2])))[0] for t in T.times
     ]
     np.testing.assert_allclose(vals.real, expected, atol=1e-12)
+
+
+def test_sample_matches_the_standard_basis_orbit():
+    # sample works in eigen-coordinates; the orbit A^t f in the standard
+    # basis, paired with each generator, is the reference
+    rng = np.random.default_rng(113)
+    for d in (1, 3, 8):
+        for with_basis in (False, True):
+            A = random_normal_operator(rng, d, with_basis=with_basis)
+            G = random_vectors(rng, 3, d)
+            f = rng.normal(size=d) + 1j * rng.normal(size=d)
+            T = TimeGrid(np.linspace(0.0, 2.0, 17, endpoint=False), 2.0)
+            values = np.array([r.value for r in sample(A, G, f, T)]).reshape(3, -1)
+            expected = (apply_power_batch(A, T.times, f) @ np.conj(G.vectors).T).T
+            err = np.max(np.abs(values - expected))
+            assert err <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_sample_dimension_validation():
@@ -268,6 +284,30 @@ def test_reconstruct_coverage_validation():
         reconstruct(A, G, recs, mode="midpoint")
     with pytest.raises(ValueError, match="window length"):
         reconstruct(A, G, recs, mode="riemann")
+
+
+def test_reconstruct_ignores_record_order():
+    rng = np.random.default_rng(127)
+    A = random_normal_operator(rng, 5)
+    G = random_vectors(rng, 3, 5)
+    f = rng.normal(size=5) + 1j * rng.normal(size=5)
+    T = TimeGrid(np.linspace(0.0, 1.0, 9, endpoint=False), 1.0)
+    recs = sample(A, G, f, T)
+    shuffled = [recs[i] for i in rng.permutation(len(recs))]
+    for kwargs in ({}, {"truth": f}, {"mode": "riemann", "L": 1.0}):
+        ordered = reconstruct(A, G, recs, **kwargs)
+        result = reconstruct(A, G, shuffled, **kwargs)
+        assert np.array_equal(result.estimate, ordered.estimate)
+        assert result.residual == ordered.residual
+    bad_inputs = {
+        "cover": recs[1:],
+        "duplicate": recs + [recs[7]],
+        "outside": recs + [SampleRecord(4, 0.5, 1.0)],
+        f"{2**70} outside": recs + [SampleRecord(2**70, 0.5, 1.0)],  # beyond int64
+    }
+    for message, bad in bad_inputs.items():
+        with pytest.raises(ValueError, match=message):
+            reconstruct(A, G, [bad[i] for i in rng.permutation(len(bad))])
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,13 @@ from dynframes.spectral import (
 )
 from helpers import (
     group_eigenspaces_pairwise,
+    operator_arrays_by_element,
+    operator_to_dict_by_element,
     random_normal_operator,
     random_unitary,
     simpson_pair_integral,
+    vectors_array_by_element,
+    vectors_to_dict_by_element,
 )
 
 nonzero_complex = st.builds(
@@ -246,6 +250,13 @@ def test_operator_validation():
     # an orthonormal real part does not make a basis orthonormal
     with pytest.raises(ValueError):
         SpectralOperator(np.ones(4), Q + 1e-6j * rng.normal(size=(4, 4)))
+    # NaN fails every comparison; a non-finite basis must still be rejected, by name
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eigenbasis must be finite"):
+            SpectralOperator(np.ones(2), [[bad, 0.0], [0.0, 1.0]])
+    # a basis whose Gram overflows is rejected without a numpy warning
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SpectralOperator(np.ones(2), [[1e200, 0.0], [0.0, 1.0]])
 
 
 def test_operator_properties_and_adjoint():
@@ -412,6 +423,71 @@ def test_vectors_json_round_trip(tmp_path):
     W = load_vectors(path)
     np.testing.assert_allclose(W.vectors, V.vectors, atol=0)
     assert W.labels == ("a", "b")
+
+
+# signed zeros, subnormals and the extremes of the double range, among
+# arbitrary finite values
+json_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _complex_array(draw, shape):
+    parts = np.array(draw(st.lists(json_parts, min_size=2 * math.prod(shape),
+                                   max_size=2 * math.prod(shape))))
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = parts[0::2].reshape(shape), parts[1::2].reshape(shape)
+    return z
+
+
+@st.composite
+def json_systems(draw):
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["none", "real", "signed permutation", "complex"]))
+    basis = {
+        "none": None,
+        "real": np.linalg.qr(rng.normal(size=(d, d)))[0],
+        "signed permutation": -np.eye(d)[rng.permutation(d)],  # -0.0 off the support
+        "complex": random_unitary(rng, d),
+    }[kind]
+    tol = draw(st.none() | st.floats(1e-14, 1e-3))
+    A = SpectralOperator(_complex_array(draw, (d,)), basis, -1.0 if tol is None else tol)
+    m = draw(st.integers(1, 4))
+    labels = draw(st.none() | st.lists(st.text(max_size=5), min_size=m, max_size=m))
+    return A, VectorSet(_complex_array(draw, (m, d)), labels)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(json_systems())
+def test_json_documents_match_the_element_by_element_oracle(tmp_path_factory, system):
+    A, G = system
+    path = tmp_path_factory.getbasetemp() / "oracle-doc.json"
+    save_operator(A, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(operator_to_dict_by_element(A), indent=2) + "\n"
+    B = load_operator(path)
+    lam, basis = operator_arrays_by_element(json.loads(text))
+    assert np.array_equal(B.eigenvalues, A.eigenvalues)
+    assert _bitwise_equal(B.eigenvalues, lam)
+    assert B.tolerance == A.tolerance
+    if A.eigenbasis is None:
+        assert B.eigenbasis is None and basis is None
+    else:
+        assert np.array_equal(B.eigenbasis, A.eigenbasis)
+        assert _bitwise_equal(B.eigenbasis, basis)
+
+    save_vectors(G, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(vectors_to_dict_by_element(G), indent=2) + "\n"
+    W = load_vectors(path)
+    assert np.array_equal(W.vectors, G.vectors)
+    assert _bitwise_equal(W.vectors, vectors_array_by_element(json.loads(text)))
+    assert W.labels == G.labels
 
 
 def test_json_validation_errors():
