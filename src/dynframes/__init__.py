@@ -19,23 +19,17 @@ from .errors import (
 from .spectral import (
     EigenGroup,
     SpectralOperator,
-    TimeInterval,
     VectorSet,
-    apply_power,
     apply_power_batch,
-    branch_argument,
     group_eigenspaces,
     load_operator,
     load_vectors,
     pair_integral,
-    power_integral,
-    principal_power,
     save_operator,
     save_vectors,
 )
 from .gram import (
-    DiscreteGram,
-    SemiContGram,
+    Gram,
     TimeGrid,
     bessel_sum,
     discrete_gram,
@@ -85,22 +79,16 @@ __all__ = [
     "NoConvergence",
     "SpectralOperator",
     "VectorSet",
-    "TimeInterval",
     "TimeGrid",
     "EigenGroup",
-    "branch_argument",
-    "principal_power",
-    "apply_power",
     "apply_power_batch",
-    "power_integral",
     "pair_integral",
     "group_eigenspaces",
     "load_operator",
     "save_operator",
     "load_vectors",
     "save_vectors",
-    "SemiContGram",
-    "DiscreteGram",
+    "Gram",
     "semicont_gram",
     "discrete_gram",
     "bessel_sum",

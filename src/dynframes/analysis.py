@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .gram import DiscreteGram, SemiContGram, _check_hermitian
+from .gram import Gram, _check_hermitian
 from .spectral import (
     SpectralOperator,
-    TimeInterval,
     VectorSet,
-    _power_integrals,
+    _principal_log,
+    _window_integral,
     apply_power_batch,
     group_eigenspaces,
     pair_integral,
@@ -117,7 +117,7 @@ def frame_bounds(S) -> FrameReport:
     rank tolerance (1e-9 times the upper bound by default); otherwise the
     family fails to span and the report says ``incomplete``.
     """
-    if isinstance(S, (SemiContGram, DiscreteGram)):
+    if isinstance(S, Gram):
         M, src = S.hat, S.method
     else:
         M, src = _check_hermitian(S, "frame_bounds input"), "matrix"
@@ -223,21 +223,24 @@ def bessel_upper_constant(A: SpectralOperator, L: float) -> float:
 
 
 def multiplier_bounds(A: SpectralOperator, L: float) -> tuple:
-    """Extremes of |power_integral(lambda, ell)| over the spectrum.
+    """Extremes over the spectrum of |integral of lambda^t dt over [0, ell]|.
 
     ell is the clipped window min(L, 1/2); the returned pair (m, M) brackets
-    the modulus of the averaging multiplier on every eigenvalue.
+    the modulus of the averaging multiplier on every eigenvalue. Raises
+    DomainError unless L is positive and finite.
     """
-    vals = np.abs(_power_integrals(A.eigenvalues, TimeInterval(L).ell))
+    L = float(L)
+    if not 0.0 < L < math.inf:
+        raise DomainError("interval length must be positive and finite")
+    vals = np.abs(_window_integral(_principal_log(A.eigenvalues), min(L, 0.5)))
     return float(vals.min()), float(vals.max())
 
 
-def carleson_check(
-    lambdas: Sequence[complex],
-    g: Optional[np.ndarray] = None,
-    P_norms: Optional[Sequence[float]] = None,
-) -> CarlesonReport:
+def carleson_check(lambdas: Sequence[complex], P_norms: Sequence[float]) -> CarlesonReport:
     """One-generator frameability diagnostics for a diagonal system.
+
+    ``P_norms[j]`` is ||P_j g||, the norm of the generator's projection onto
+    the eigenvector of ``lambdas[j]``.
 
     Five conditions are tracked. Two of them cannot be decided from a finite
     truncation and are reported as ``assumed`` (orbit-closure coverage) and
@@ -270,17 +273,9 @@ def carleson_check(
     inf_product = float(per.min())
     cond_iv = "pass" if inf_product > 0.0 else "fail"
 
-    if P_norms is None:
-        if g is None:
-            raise ValueError("supply the generator g or explicit P_norms")
-        gv = np.asarray(g, dtype=np.complex128).reshape(-1)
-        if gv.size != lam.size:
-            raise DimensionMismatch("generator length must match eigenvalue count")
-        norms = np.abs(gv)
-    else:
-        norms = np.asarray(P_norms, dtype=np.float64).reshape(-1)
-        if norms.size != lam.size:
-            raise DimensionMismatch("one projection norm per eigenvalue is required")
+    norms = np.asarray(P_norms, dtype=np.float64).reshape(-1)
+    if norms.size != lam.size:
+        raise DimensionMismatch("one projection norm per eigenvalue is required")
 
     if inside.any():
         scaled = norms[inside] / np.sqrt(1.0 - mods[inside] ** 2)

@@ -309,7 +309,9 @@ def repro_catalog() -> list:
 
 
 def run_entry(name: str, d: int = 64, L: Optional[float] = None):
-    """Run one catalog entry by name; returns (passed, lines)."""
+    """Run one catalog entry by name at d >= 2; returns (passed, lines)."""
+    if d < 2:
+        raise ValueError(f"catalog entries need d >= 2, got d={d}")
     for entry in _ENTRIES:
         if entry.name == name:
             return entry.runner(d=d, L=L)

@@ -249,6 +249,8 @@ def _cmd_lscan(args: argparse.Namespace) -> int:
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     A, G = _load_inputs(args)
     n_times, noise = args.times, args.noise
+    if not 0.0 <= noise < np.inf:
+        raise CLIError(f"--noise must be a finite nonnegative number, got {noise:g}")
     rng = np.random.default_rng(args.seed)
     truth = rng.normal(size=A.dimension) + 1j * rng.normal(size=A.dimension)
     grid = TimeGrid.uniform(n_times, args.L)

@@ -110,10 +110,6 @@ def find_discretization(
     )
 
 
-def _min_gap(T: TimeGrid) -> float:
-    return float(np.min(np.diff(np.append(T.times, T.L))))
-
-
 def verify_discrete_implies_semicont(
     A: SpectralOperator, G: VectorSet, T: TimeGrid, L: float
 ) -> tuple:
@@ -140,7 +136,7 @@ def verify_discrete_implies_semicont(
         raise DiscreteNotFrame(
             f"discrete lower bound {discrete.lower:.3e} is below tolerance"
         )
-    mhat = _min_gap(T)
+    mhat = float(np.min(T.riemann_weights()))
     decay = A.min_modulus
     analytic = discrete.lower * pair_integral(decay, decay, mhat).real
     cont = frame_bounds(semicont_gram(A, G, L))

@@ -5,18 +5,19 @@ form in the eigenbasis: with ghat = U* g,
 
     Shat[j, k] = sum_g ghat_j conj(ghat_k) * pair_integral(lambda_j, lambda_k, L)
 
-and S = U Shat U*, which a Gram builds from its ``hat`` only when ``.matrix``
-is read. Discrete time sets replace the pair integral by a (weighted) sum of
-principal powers. A composite-Simpson route, built dense from orbit samples,
-stays independent of the closed form so each can check the other.
+and S = U Shat U*, which a ``Gram`` builds from its ``hat`` only when
+``.matrix`` is read. Discrete time sets replace the pair integral by a
+(weighted) sum of principal powers. A composite-Simpson route, built dense
+from orbit samples, stays independent of the closed form so each can check
+the other. Every route returns one ``Gram``, its ``method`` naming the route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .spectral import (
 
 __all__ = [
     "TimeGrid",
-    "SemiContGram",
-    "DiscreteGram",
+    "Gram",
     "semicont_gram",
     "discrete_gram",
     "bessel_sum",
@@ -101,8 +101,7 @@ class TimeGrid:
     @property
     def max_gap(self) -> float:
         """Largest gap between consecutive points, counting the final gap to L."""
-        gaps = np.diff(np.append(self.times, self.L))
-        return float(np.max(gaps))
+        return float(np.max(self.riemann_weights()))
 
     def riemann_weights(self) -> np.ndarray:
         """Left-rule panel widths t_{i+1} - t_i with t_{n+1} = L."""
@@ -110,13 +109,19 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class _EigenGram:
-    """Hermitian Gram S = U hat U*, U the unitary ``eigenbasis`` (None: identity)."""
+class Gram:
+    """Hermitian Gram S = U hat U*, U the unitary ``eigenbasis`` (None: identity).
+
+    ``method`` records the route that built it: "closed_form", "discrete"
+    or "quadrature".
+    """
 
     hat: np.ndarray
-    eigenbasis: Optional[np.ndarray] = field(default=None, kw_only=True)
+    method: str
+    eigenbasis: Optional[np.ndarray] = None
 
-    def _freeze(self, label: str) -> None:
+    def __post_init__(self):
+        label = "discrete gram" if self.method == "discrete" else "semi-continuous gram"
         S = _check_hermitian(self.hat, label).copy()
         S.setflags(write=False)
         object.__setattr__(self, "hat", S)
@@ -139,43 +144,6 @@ class _EigenGram:
         return S
 
 
-@dataclass(frozen=True)
-class SemiContGram(_EigenGram):
-    """Frame operator over G x [0, L]; ``method`` records how it was built."""
-
-    L: float
-    generator_count: int
-    method: str = "closed_form"
-
-    def __post_init__(self):
-        self._freeze("semi-continuous gram")
-        if self.method not in ("closed_form", "quadrature"):
-            raise ValueError(f"unknown gram method {self.method!r}")
-        object.__setattr__(self, "L", float(self.L))
-        object.__setattr__(self, "generator_count", int(self.generator_count))
-
-
-@dataclass(frozen=True)
-class DiscreteGram(_EigenGram):
-    """Frame operator of {A^t g : g in G, t in T} with optional weights."""
-
-    times: TimeGrid
-    weights: Optional[np.ndarray] = None
-    method: ClassVar[str] = "discrete"
-
-    def __post_init__(self):
-        self._freeze("discrete gram")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-            if w.size != len(self.times):
-                raise DimensionMismatch("one weight per grid time is required")
-            if not np.all(w > 0):
-                raise ValueError("weights must be positive")
-            w = w.copy()
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
-
-
 def _hat_weight_matrix(ghat: np.ndarray) -> np.ndarray:
     return ghat.T @ np.conj(ghat)
 
@@ -194,41 +162,32 @@ def _sampled_gram_hat(
     return _hat_weight_matrix(ghat) * _require_finite(P, "sampled power sum")
 
 
-def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> SemiContGram:
+def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> Gram:
     """Closed-form Gram of the orbit family over [0, L]; DomainError if it overflows."""
     W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
     P = pair_integral_matrix(A.eigenvalues, L)
     with np.errstate(over="ignore", invalid="ignore"):
         shat = W * P
-    return SemiContGram(shat, float(L), len(G), eigenbasis=A.eigenbasis)
+    return Gram(shat, "closed_form", A.eigenbasis)
 
 
 def discrete_gram(
-    A: SpectralOperator,
-    G: VectorSet,
-    T: TimeGrid,
-    weights: Union[None, str, Sequence[float]] = None,
-) -> DiscreteGram:
+    A: SpectralOperator, G: VectorSet, T: TimeGrid, weights: Optional[str] = None
+) -> Gram:
     """Gram of {A^t g} over the discrete times in T.
 
-    ``weights`` may be None (plain sums), the string "riemann" (left-rule
-    panel widths, so the Gram approximates the [0, L] integral), or an
-    explicit positive array with one entry per time.
+    ``weights`` is None (plain sums) or "riemann" (left-rule panel widths,
+    so the Gram approximates the [0, L] integral).
     """
-    ghat = A.to_eigenbasis(G.vectors)
-    if isinstance(weights, str):
-        if weights != "riemann":
-            raise ValueError(f"unknown weighting {weights!r}")
-        w = T.riemann_weights()
-    elif weights is None:
+    if weights is None:
         w = None
+    elif isinstance(weights, str) and weights == "riemann":
+        w = T.riemann_weights()
     else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.size != len(T):
-            raise DimensionMismatch("one weight per grid time is required")
-
+        raise ValueError(f"unknown weighting {weights!r}")
+    ghat = A.to_eigenbasis(G.vectors)
     M = _power_profile(A.eigenvalues, T.times)
-    return DiscreteGram(_sampled_gram_hat(ghat, M, w), T, w, eigenbasis=A.eigenbasis)
+    return Gram(_sampled_gram_hat(ghat, M, w), "discrete", A.eigenbasis)
 
 
 def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> float:
@@ -248,7 +207,7 @@ def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> fl
 
 def quadrature_gram(
     A: SpectralOperator, G: VectorSet, L: float, panels: int = 256
-) -> SemiContGram:
+) -> Gram:
     """Composite-Simpson Gram built from orbit samples A^t g only.
 
     This never touches the closed-form pair integrals, which is the point:
@@ -274,4 +233,4 @@ def quadrature_gram(
         V = apply_power_batch(A, nodes, g)
         with np.errstate(over="ignore", invalid="ignore"):
             S += (wts[:, None] * V).T @ np.conj(V)
-    return SemiContGram(S, L, len(G), method="quadrature")
+    return Gram(S, "quadrature")

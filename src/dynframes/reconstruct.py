@@ -124,6 +124,8 @@ def reconstruct(
         raise ValueError(f"samples must cover all generator/time pairs; missing {pairs}")
     vals = np.empty((m, n), dtype=np.complex128)
     vals[index - 1, column] = np.fromiter((r.value for r in samples), np.complex128, count)
+    if not np.isfinite(vals).all():
+        raise ValueError("sample values must be finite")
 
     if mode == "riemann":
         if L is None:
@@ -153,6 +155,8 @@ def reconstruct(
         tv = np.asarray(truth, dtype=np.complex128).reshape(-1)
         if tv.size != x.size:
             raise DimensionMismatch("truth vector has the wrong length")
+        if not np.isfinite(tv).all():
+            raise ValueError("truth vector must be finite")
         residual = float(np.linalg.norm(x - tv) / max(np.linalg.norm(tv), 1e-300))
     else:
         residual = float(np.linalg.norm(S_hat @ x_hat - b_hat))

@@ -1,4 +1,4 @@
-"""Normal operators given by their spectral data, and principal powers.
+"""Normal operators given by their spectral data, and their principal powers.
 
 Everything downstream works with an operator in diagonalized form:
 ``A = U diag(lambda) U*`` with orthonormal columns in ``U``. Continuous
@@ -8,7 +8,8 @@ branch ``z^t = exp(t (ln|z| + i arg z))`` with ``arg z`` in ``[-pi, pi)``.
 Two vectorised kernels compute every power and window integral in the
 package: ``_power_profile`` (samples ``lambda^t``) and ``_window_integral``
 (``(e^{L alpha} - 1) / alpha``). They are where an overflowing power becomes
-a ``DomainError``; the scalar functions below are thin wrappers on them.
+a ``DomainError``. ``pair_integral`` is the one scalar entry point, kept for
+single windows such as the Bessel constant and the transfer bound.
 
 JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
 in one conversion. A malformed document raises ``ValueError``.
@@ -17,7 +18,6 @@ in one conversion. A malformed document raises ``ValueError``.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -29,13 +29,8 @@ from .errors import DimensionMismatch, DomainError
 __all__ = [
     "SpectralOperator",
     "VectorSet",
-    "TimeInterval",
     "EigenGroup",
-    "branch_argument",
-    "principal_power",
-    "apply_power",
     "apply_power_batch",
-    "power_integral",
     "pair_integral",
     "pair_integral_matrix",
     "group_eigenspaces",
@@ -95,12 +90,6 @@ def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
     return _require_finite(out, "window integral")
 
 
-def _power_integrals(z, ell: float) -> np.ndarray:
-    if not 0.0 < float(ell) <= 0.5:
-        raise DomainError("ell must lie in (0, 1/2]")
-    return _window_integral(_principal_log(z), ell)
-
-
 def _power_profile(eigenvalues: np.ndarray, times) -> np.ndarray:
     """Rows of principal powers: out[i, j] = lambda_j ^ t_i, with 0^0 = 1.
 
@@ -118,28 +107,6 @@ def _power_profile(eigenvalues: np.ndarray, times) -> np.ndarray:
         out[:, zero] = 0.0
         out[np.ix_(t == 0.0, zero)] = 1.0
     return _require_finite(out, "power profile")
-
-
-def branch_argument(z: complex) -> float:
-    """Argument of z in [-pi, pi); the cut itself maps to -pi."""
-    return float(_principal_log(z).imag)
-
-
-def principal_power(z: complex, t: float) -> complex:
-    """Principal-branch power z^t, with z^0 = 1 for every z.
-
-    Raises DomainError for 0^t with t < 0 and when z^t overflows.
-    """
-    return complex(_power_profile([z], [t])[0, 0])
-
-
-def power_integral(z: complex, ell: float) -> complex:
-    """Closed form of the integral of z^t dt over [0, ell], ell in (0, 1/2].
-
-    The removable singularity at z = 1 (|ln z| <= 1e-12) returns ell; z = 0
-    integrates to 0.
-    """
-    return complex(_power_integrals(z, ell))
 
 
 def pair_integral(lam: complex, mu: complex, L: float) -> complex:
@@ -232,18 +199,19 @@ class SpectralOperator:
     def is_self_adjoint(self) -> bool:
         return bool(np.max(np.abs(self.eigenvalues.imag)) <= 1e-12)
 
-    def adjoint(self) -> "SpectralOperator":
-        return SpectralOperator(
-            np.conj(self.eigenvalues), self.eigenbasis, self.tolerance
-        )
-
     def to_eigenbasis(self, vecs: np.ndarray) -> np.ndarray:
-        """Coordinates of vectors (last axis = C^d index) in the eigenbasis."""
+        """Coordinates of vectors (last axis = C^d index) in the eigenbasis.
+
+        Every state and generator enters the computations here, so this is
+        where a NaN or inf vector is rejected with ``ValueError``.
+        """
         v = np.asarray(vecs, dtype=np.complex128)
         if v.shape[-1] != self.dimension:
             raise DimensionMismatch(
                 f"vector length {v.shape[-1]} does not match dimension {self.dimension}"
             )
+        if not np.isfinite(v).all():
+            raise ValueError("vectors must be finite")
         if self.eigenbasis is None:
             return v.copy()
         # conj(conj(v) U) equals v conj(U) bit for bit, up to the sign of
@@ -260,12 +228,6 @@ class SpectralOperator:
         if self.eigenbasis is None:
             return c.copy()
         return c @ self.eigenbasis.T
-
-    def matrix(self) -> np.ndarray:
-        """Dense d x d matrix of the operator."""
-        if self.eigenbasis is None:
-            return np.diag(self.eigenvalues)
-        return (self.eigenbasis * self.eigenvalues) @ self.eigenbasis.conj().T
 
 
 @dataclass(frozen=True)
@@ -301,23 +263,6 @@ class VectorSet:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.vectors)
-
-
-@dataclass(frozen=True)
-class TimeInterval:
-    """The window [0, L]; ``ell`` is the clipped length min(L, 1/2)."""
-
-    L: float
-
-    def __post_init__(self):
-        L = float(self.L)
-        if not (math.isfinite(L) and L > 0):
-            raise DomainError("interval length must be positive and finite")
-        object.__setattr__(self, "L", L)
-
-    @property
-    def ell(self) -> float:
-        return min(self.L, 0.5)
 
 
 class EigenGroup(NamedTuple):
@@ -370,19 +315,14 @@ def group_eigenspaces(A: SpectralOperator) -> list:
     return [EigenGroup(complex(lam[m[0]]), tuple(m)) for m in groups.values()]
 
 
-def _orbit(A: SpectralOperator, times, f) -> np.ndarray:
+def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray) -> np.ndarray:
+    """Stack of A^t f for each t in times; row i is A^{times[i]} f.
+
+    Powers are principal, with 0^0 = 1. Raises DomainError for 0^t with
+    t < 0 and when a power overflows.
+    """
     fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
     return A.from_eigenbasis(_power_profile(A.eigenvalues, times) * fh)
-
-
-def apply_power(A: SpectralOperator, t: float, f: np.ndarray) -> np.ndarray:
-    """A^t f through the spectral decomposition."""
-    return _orbit(A, [float(t)], f)[0]
-
-
-def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray) -> np.ndarray:
-    """Stack of A^t f for each t in times; row i is A^{times[i]} f."""
-    return _orbit(A, times, f)
 
 
 # ---------------------------------------------------------------------------

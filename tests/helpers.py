@@ -1,4 +1,7 @@
-"""Shared random-system builders and the quadrature, eigen, grouping, rank and JSON oracles."""
+"""Shared random-system builders and oracles.
+
+The oracles: dense operators, quadrature, eigen, grouping, rank and JSON documents.
+"""
 
 import math
 
@@ -59,6 +62,13 @@ def random_self_adjoint_operator(rng, d, min_mod=0.3, max_mod=2.5,
     lam = _draw_separated(rng, draw, min_sep)
     basis = random_unitary(rng, d) if with_basis else None
     return SpectralOperator(lam, basis)
+
+
+def dense_matrix(A):
+    """The d x d matrix U diag(lambda) U* of a spectral operator."""
+    if A.eigenbasis is None:
+        return np.diag(A.eigenvalues)
+    return (A.eigenbasis * A.eigenvalues) @ A.eigenbasis.conj().T
 
 
 def random_vectors(rng, m, d):

@@ -25,10 +25,9 @@ from dynframes.reconstruct import heat_cycle_operator
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
+    apply_power_batch,
     default_tolerance,
     pair_integral,
-    power_integral,
-    principal_power,
     rank_tolerance_factor,
 )
 from dynframes.catalog import decaying_reciprocal_system, gaussian_decay_system
@@ -246,7 +245,7 @@ def test_overflow_raises_domain_error_without_warnings():
         lambda: discrete_gram(A, G, TimeGrid.uniform(64, 400.0), weights="riemann"),
         lambda: pair_integral(3.0, 3.0, 400.0),
         lambda: bessel_upper_constant(A, 400.0),
-        lambda: principal_power(3.0, 800.0),
+        lambda: apply_power_batch(SpectralOperator([3.0]), [800.0], [1.0]),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -474,6 +473,18 @@ def test_multiplier_bounds_gaussian_decay_frozen():
     assert (m2, M2) == (m, M)
 
 
+def test_multiplier_bounds_clip_the_window_and_reject_bad_lengths():
+    A = SpectralOperator(np.array([-1.0, 0.5j, 2.0]))
+    assert multiplier_bounds(A, 2.0) == multiplier_bounds(A, 0.5)
+    m, M = multiplier_bounds(A, 0.25)  # below 1/2 the window is kept
+    moduli = [abs(pair_integral(z, 1.0, 0.25)) for z in A.eigenvalues]
+    assert (m, M) == pytest.approx((min(moduli), max(moduli)), rel=1e-14)
+    assert (m, M) != multiplier_bounds(A, 0.5)
+    for L in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            multiplier_bounds(A, L)
+
+
 def test_multiplier_bounds_match_quadrature():
     rng = np.random.default_rng(71)
     for _ in range(20):
@@ -533,20 +544,12 @@ def test_carleson_failures_and_domain():
     assert repeated.conditions["iv"] == "fail"
     assert repeated.verdict == "not_frameable"
     # a generator with a dead coordinate loses the lower scaling bound
-    dead = carleson_check(np.array([0.3, 0.6]), g=np.array([1.0, 0.0]))
+    dead = carleson_check(np.array([0.3, 0.6]), P_norms=[1.0, 0.0])
     assert dead.c_v == 0.0
     assert dead.conditions["v"] == "fail"
     assert dead.verdict == "not_frameable"
-
-
-def test_carleson_generator_and_pnorm_paths_agree():
-    lam = np.array([0.2, 0.5j, -0.7], dtype=complex)
-    g = np.array([1.0 + 1.0j, 2.0, -0.5j])
-    a = carleson_check(lam, g=g)
-    b = carleson_check(lam, P_norms=np.abs(g))
-    assert a.inf_product == b.inf_product
-    assert a.c_v == b.c_v and a.C_v == b.C_v
-    assert a.verdict == b.verdict
+    with pytest.raises(DimensionMismatch):
+        carleson_check(np.array([0.3, 0.6]), P_norms=[1.0])
 
 
 def test_carleson_all_factors_inside_disk_are_contractive():

@@ -326,6 +326,17 @@ def test_reconstruct_command_with_noise(identity_files, capsys):
     assert 1e-8 < blob["relative_error"] < 1e-2
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf", "-inf"])
+def test_reconstruct_rejects_negative_or_non_finite_noise(identity_files, capsys, noise):
+    op, vec = identity_files
+    code = main(["reconstruct", "--op", op, "--vectors", vec, "--L", "1",
+                 "--times", "8", f"--noise={noise}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: --noise must be a finite nonnegative number")
+
+
 def test_seed_belongs_to_reconstruct_only(identity_files, capsys):
     op, vec = identity_files
     with pytest.raises(SystemExit) as exc:
@@ -413,6 +424,24 @@ def test_all_catalog_entries_pass():
         ok, lines = run_entry(entry.name, d=64, L=None)
         assert ok, f"{entry.name} failed:\n" + "\n".join(lines)
         assert lines
+
+
+@pytest.mark.parametrize("args", [["example-5.3"], ["example-5.4"], ["--all"]])
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_repro_rejects_truncation_below_two(capsys, args, d):
+    code = main(["repro", *args, "--d", d])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: catalog entries need d >= 2, got d={d}\n"
+
+
+def test_every_catalog_entry_passes_at_the_smallest_truncation():
+    for entry in repro_catalog():
+        ok, lines = run_entry(entry.name, d=2)
+        assert ok, f"{entry.name} failed:\n" + "\n".join(lines)
+        with pytest.raises(ValueError, match="need d >= 2"):
+            run_entry(entry.name, d=1)
 
 
 def test_run_entry_unknown_raises_key_error():

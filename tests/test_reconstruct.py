@@ -11,7 +11,7 @@ from dynframes.reconstruct import (
     sample,
 )
 from dynframes.spectral import SpectralOperator, VectorSet, apply_power_batch
-from helpers import random_normal_operator, random_self_adjoint_operator, random_vectors
+from helpers import dense_matrix, random_normal_operator, random_self_adjoint_operator, random_vectors
 
 
 def cycle_laplacian(d):
@@ -98,6 +98,24 @@ def test_sample_dimension_validation():
         sample(A, VectorSet(np.eye(2)), np.ones(3), TimeGrid(np.array([0.0]), 1.0))
 
 
+def test_non_finite_states_and_samples_are_value_errors():
+    A = heat_cycle_operator(6, 1.0)
+    G = VectorSet(np.eye(6, dtype=complex)[[0, 2, 3]])
+    T = TimeGrid.uniform(16, 1.0)
+    f = np.arange(6, dtype=complex)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            sample(A, G, np.where(f == 1, bad, f), T)
+    records = sample(A, G, f, T)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        broken = list(records)
+        broken[5] = SampleRecord(broken[5].generator_index, broken[5].time, bad)
+        with pytest.raises(ValueError, match="sample values must be finite"):
+            reconstruct(A, G, broken)
+        with pytest.raises(ValueError, match="truth vector must be finite"):
+            reconstruct(A, G, records, truth=np.where(f == 1, bad, f))
+
+
 def test_sample_record_validation():
     with pytest.raises(ValueError):
         SampleRecord(0, 0.0, 1.0)  # indices are 1-based
@@ -114,8 +132,8 @@ def test_heat_cycle_matches_dense_laplacian():
         A = heat_cycle_operator(d, sigma)
         w, V = np.linalg.eigh(sigma * cycle_laplacian(d))
         dense = V @ np.diag(np.exp(-w)) @ V.T
-        np.testing.assert_allclose(A.matrix().real, dense, atol=1e-12)
-        np.testing.assert_allclose(A.matrix().imag, 0.0, atol=1e-15)
+        np.testing.assert_allclose(dense_matrix(A).real, dense, atol=1e-12)
+        np.testing.assert_allclose(dense_matrix(A).imag, 0.0, atol=1e-15)
 
 
 def test_heat_cycle_structure():
@@ -127,7 +145,7 @@ def test_heat_cycle_structure():
     # conjugate wavenumbers share an eigenvalue
     assert lam[1] == pytest.approx(lam[5], abs=1e-15)
     assert lam[2] == pytest.approx(lam[4], abs=1e-15)
-    M = A.matrix().real
+    M = dense_matrix(A).real
     # circulant: every row is a rotation of the first
     for i in range(6):
         np.testing.assert_allclose(M[i], np.roll(M[0], i), atol=1e-12)

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dynframes.analysis import multiplier_bounds
 from dynframes.errors import DimensionMismatch, DomainError
 from dynframes.spectral import (
     SpectralOperator,
-    TimeInterval,
     VectorSet,
-    apply_power,
     apply_power_batch,
-    branch_argument,
     default_tolerance,
     group_eigenspaces,
     load_operator,
@@ -24,14 +22,13 @@ from dynframes.spectral import (
     operator_to_dict,
     pair_integral,
     pair_integral_matrix,
-    power_integral,
-    principal_power,
     save_operator,
     save_vectors,
     vectors_from_dict,
     vectors_to_dict,
 )
 from helpers import (
+    dense_matrix,
     group_eigenspaces_pairwise,
     operator_arrays_by_element,
     operator_to_dict_by_element,
@@ -51,49 +48,57 @@ times = st.floats(-2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
-# principal branch
+# principal branch, through the powers of a 1 x 1 operator
+
+
+def power(z, t):
+    """z^t as the orbit of the unit vector under the operator diag(z)."""
+    return complex(apply_power_batch(SpectralOperator([z]), [t], [1.0])[0, 0])
 
 
 def test_branch_argument_on_the_cut():
-    assert branch_argument(-1.0) == -math.pi
-    assert branch_argument(complex(-2.0, 0.0)) == -math.pi
-    assert branch_argument(complex(-2.0, -0.0)) == -math.pi
-    assert branch_argument(1.0) == 0.0
+    # z^(1/2) = sqrt|z| exp(i arg(z) / 2): the cut maps to arg = -pi, so
+    # every point of it, with either sign of zero, has root -i sqrt|z|
+    for z in (-1.0, complex(-2.0, 0.0), complex(-2.0, -0.0)):
+        root = power(z, 0.5)
+        assert abs(root - (-1j) * math.sqrt(abs(z))) < 1e-15
+        assert root.imag < 0.0
+    assert power(1.0, 0.5) == 1.0
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, -1.0, 1j, 2.0 - 3.0j, 1e-300])
 def test_power_at_time_zero_is_one(z):
-    assert principal_power(z, 0.0) == 1.0 + 0.0j
+    assert power(z, 0.0) == 1.0 + 0.0j
 
 
 def test_zero_base_powers():
-    assert principal_power(0.0, 2.5) == 0.0
+    assert power(0.0, 2.5) == 0.0
     with pytest.raises(DomainError):
-        principal_power(0.0, -1.0)
+        power(0.0, -1.0)
 
 
 def test_negative_one_half_power_uses_lower_branch():
     # arg(-1) = -pi, so (-1)^(1/2) = exp(-i pi / 2) = -i
-    val = principal_power(-1.0, 0.5)
+    val = power(-1.0, 0.5)
     assert abs(val - (-1j)) < 1e-15
 
 
 def test_integer_powers_match_multiplication():
     z = 1.7 - 0.3j
-    assert abs(principal_power(z, 1.0) - z) < 1e-15
-    assert abs(principal_power(z, 3.0) - z**3) < 1e-13
+    assert abs(power(z, 1.0) - z) < 1e-15
+    assert abs(power(z, 3.0) - z**3) < 1e-13
 
 
 @given(z=nonzero_complex, s=times, t=times)
 def test_power_semigroup(z, s, t):
-    lhs = principal_power(z, s + t)
-    rhs = principal_power(z, s) * principal_power(z, t)
+    lhs = power(z, s + t)
+    rhs = power(z, s) * power(z, t)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 @given(z=nonzero_complex, t=st.floats(0.0, 2.0))
 def test_power_modulus(z, t):
-    assert abs(abs(principal_power(z, t)) - abs(z) ** t) <= 1e-12 * abs(z) ** t
+    assert abs(abs(power(z, t)) - abs(z) ** t) <= 1e-12 * abs(z) ** t
 
 
 # ---------------------------------------------------------------------------
@@ -166,29 +171,29 @@ def test_pair_integral_matrix_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# power_integral (the multiplier symbol)
+# the power integral (the multiplier symbol): the pair integral with mu = 1
 
 
 def test_power_integral_window_and_domain():
-    assert power_integral(1.0, 0.5) == 0.5
-    assert power_integral(0.0, 0.25) == 0.0
+    assert pair_integral(1.0, 1.0, 0.5) == 0.5
+    assert pair_integral(0.0, 1.0, 0.25) == 0.0
     with pytest.raises(DomainError):
-        power_integral(2.0, 0.0)
-    with pytest.raises(DomainError):
-        power_integral(2.0, 0.6)
+        pair_integral(2.0, 1.0, 0.0)
 
 
 def test_power_integral_at_minus_one():
     # |integral of (-1)^t over [0, 1/2]| = sqrt(2) / pi on the lower branch
-    val = power_integral(-1.0, 0.5)
+    val = pair_integral(-1.0, 1.0, 0.5)
     assert abs(abs(val) - math.sqrt(2.0) / math.pi) < 1e-15
 
 
 @given(z=nonzero_complex, ell=st.floats(0.05, 0.5))
 def test_power_integral_is_pair_integral_with_one(z, ell):
-    a = power_integral(z, ell)
-    b = pair_integral(z, 1.0, ell)
-    assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
+    # multiplier_bounds computes the same integral on its own route
+    m, M = multiplier_bounds(SpectralOperator([z]), ell)
+    b = abs(pair_integral(z, 1.0, ell))
+    assert m == M
+    assert abs(m - b) <= 1e-13 * max(1.0, b)
 
 
 # ---------------------------------------------------------------------------
@@ -199,26 +204,28 @@ def test_apply_power_identity_at_zero():
     rng = np.random.default_rng(3)
     A = random_normal_operator(rng, 6)
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
-    out = apply_power(A, 0.0, f)
+    (out,) = apply_power_batch(A, [0.0], f)
     np.testing.assert_allclose(out, f, atol=1e-12)
 
 
 def test_apply_power_zero_eigenvalue():
     A = SpectralOperator(np.array([0.0, 2.0], dtype=complex))
     f = np.array([1.0, 1.0], dtype=complex)
-    np.testing.assert_allclose(apply_power(A, 0.0, f), f, atol=0)
-    np.testing.assert_allclose(apply_power(A, 1.5, f), [0.0, 2.0**1.5], atol=1e-12)
+    at_zero, later = apply_power_batch(A, [0.0, 1.5], f)
+    np.testing.assert_allclose(at_zero, f, atol=0)
+    np.testing.assert_allclose(later, [0.0, 2.0**1.5], atol=1e-12)
     with pytest.raises(DomainError):
-        apply_power(A, -0.5, f)
+        apply_power_batch(A, [1.0, -0.5], f)
 
 
 def test_apply_power_matches_dense_matrix():
     rng = np.random.default_rng(5)
     A = random_normal_operator(rng, 5)
     f = rng.normal(size=5) + 1j * rng.normal(size=5)
-    np.testing.assert_allclose(apply_power(A, 1.0, f), A.matrix() @ f, atol=1e-12)
-    two = A.matrix() @ (A.matrix() @ f)
-    np.testing.assert_allclose(apply_power(A, 2.0, f), two, atol=1e-11)
+    M = dense_matrix(A)
+    one, two = apply_power_batch(A, [1.0, 2.0], f)
+    np.testing.assert_allclose(one, M @ f, atol=1e-12)
+    np.testing.assert_allclose(two, M @ (M @ f), atol=1e-11)
 
 
 def test_apply_power_batch_matches_singles():
@@ -228,7 +235,7 @@ def test_apply_power_batch_matches_singles():
     ts = [0.0, 0.3, 1.0, 1.7]
     batch = apply_power_batch(A, ts, f)
     for i, t in enumerate(ts):
-        np.testing.assert_allclose(batch[i], apply_power(A, t, f), atol=1e-13)
+        np.testing.assert_allclose(batch[i], apply_power_batch(A, [t], f)[0], atol=1e-13)
 
 
 def test_operator_validation():
@@ -269,7 +276,6 @@ def test_operator_properties_and_adjoint():
     assert abs(A.min_modulus - abs(lam[3])) < 1e-15
     assert A.is_invertible
     assert not A.is_self_adjoint
-    np.testing.assert_allclose(A.adjoint().matrix(), A.matrix().conj().T, atol=1e-12)
     # arrays are locked
     with pytest.raises(ValueError):
         A.eigenvalues[0] = 5.0
@@ -280,6 +286,18 @@ def test_eigenbasis_round_trip():
     A = random_normal_operator(rng, 6)
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
     np.testing.assert_allclose(A.from_eigenbasis(A.to_eigenbasis(f)), f, atol=1e-12)
+
+
+def test_to_eigenbasis_rejects_non_finite_vectors():
+    rng = np.random.default_rng(29)
+    for basis in (None, random_unitary(rng, 3)):
+        A = SpectralOperator(np.ones(3), basis)
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            for shape in ((3,), (2, 3)):
+                v = np.ones(shape, dtype=complex)
+                v[..., 1] = bad
+                with pytest.raises(ValueError, match="vectors must be finite"):
+                    A.to_eigenbasis(v)
 
 
 def test_to_eigenbasis_does_not_copy_the_basis():
@@ -377,13 +395,6 @@ def test_group_eigenspaces_matches_pairwise_oracle(lam):
     A = SpectralOperator(np.array(lam, dtype=complex), tolerance=GROUP_TOL)
     groups = [(g.value, g.indices) for g in group_eigenspaces(A)]
     assert groups == group_eigenspaces_pairwise(A.eigenvalues, GROUP_TOL)
-
-
-def test_time_interval_clips_ell():
-    assert TimeInterval(2.0).ell == 0.5
-    assert TimeInterval(0.25).ell == 0.25
-    with pytest.raises(DomainError):
-        TimeInterval(0.0)
 
 
 # ---------------------------------------------------------------------------
