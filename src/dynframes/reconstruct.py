@@ -169,14 +169,14 @@ def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
 
     Eigenvalues are exp(-diffusion * (2 - 2 cos(2 pi k / d))) attached to the
     real Fourier basis (constant, cosine and sine pairs, and the alternating
-    vector when d is even).
+    vector when d is even), which the operator stores real.
     """
     d = int(d)
     if d < 2:
         raise ValueError("the cycle needs at least 2 vertices")
     diffusion = float(diffusion)
-    if not diffusion > 0:
-        raise ValueError("diffusion must be positive")
+    if not 0.0 < diffusion < math.inf:
+        raise ValueError("diffusion must be positive and finite")
     k = np.arange(d)
     lam = np.exp(-diffusion * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / d)))
     j = np.arange(d)
@@ -187,4 +187,4 @@ def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
         basis[:, d - kk] = math.sqrt(2.0 / d) * np.sin(2.0 * np.pi * kk * j / d)
     if d % 2 == 0:
         basis[:, d // 2] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(d)
-    return SpectralOperator(lam, basis.astype(np.complex128))
+    return SpectralOperator(lam, basis)

@@ -11,13 +11,21 @@ package: ``_power_profile`` (samples ``lambda^t``) and ``_window_integral``
 a ``DomainError``. ``pair_integral`` is the one scalar entry point, kept for
 single windows such as the Bessel constant and the transfer bound.
 
+A basis given with a real dtype (the Fourier basis of a heat diffusion, any
+self-adjoint evolution with real eigenvectors) is stored as float64, a
+complex one as complex128. A real basis takes half the bytes, and each
+product with it is one real matrix product on the stacked real and
+imaginary parts of the vectors.
+
 JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
-in one conversion. A malformed document raises ``ValueError``.
+in one conversion, so a loaded basis is complex. A malformed document raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -50,14 +58,21 @@ _SMALL_EXPONENT = 1e-12
 _ORTHONORMAL_TOL = 1e-8
 
 
+def _env_tolerance(default: str) -> float:
+    value = float(os.environ.get("DYNSAMP_TOL", default))
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"DYNSAMP_TOL must be positive and finite, got {value!r}")
+    return value
+
+
 def default_tolerance() -> float:
     """Eigenvalue grouping tolerance; DYNSAMP_TOL overrides the 1e-10 default."""
-    return float(os.environ.get("DYNSAMP_TOL", "1e-10"))
+    return _env_tolerance("1e-10")
 
 
 def rank_tolerance_factor() -> float:
     """Relative rank cutoff factor; DYNSAMP_TOL overrides the 1e-9 default."""
-    return float(os.environ.get("DYNSAMP_TOL", "1e-9"))
+    return _env_tolerance("1e-9")
 
 
 def _principal_log(z) -> np.ndarray:
@@ -81,8 +96,8 @@ def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
     eigenvalue); raises DomainError when a value overflows.
     """
     L = float(L)
-    if not L > 0:
-        raise DomainError("interval length must be positive")
+    if not 0.0 < L < math.inf:
+        raise DomainError("interval length must be positive and finite")
     small = np.abs(alpha) <= _SMALL_EXPONENT
     with np.errstate(over="ignore", invalid="ignore"):
         out = (np.exp(L * alpha) - 1.0) / np.where(small, 1.0, alpha)
@@ -131,6 +146,7 @@ class SpectralOperator:
     """A normal operator on C^d stored as eigenvalues plus eigenbasis.
 
     ``eigenbasis=None`` means the standard basis (the operator is diagonal).
+    A basis with a real dtype is stored as float64, any other as complex128.
     ``tolerance`` controls eigenvalue grouping and invertibility decisions;
     it defaults to 1e-10 (or the DYNSAMP_TOL environment override).
     """
@@ -151,16 +167,19 @@ class SpectralOperator:
 
         basis = self.eigenbasis
         if basis is not None:
-            basis = np.asarray(basis, dtype=np.complex128)
+            real = np.isrealobj(basis)
+            basis = np.asarray(basis, dtype=np.float64 if real else np.complex128)
             d = lam.size
             if basis.shape != (d, d):
                 raise DimensionMismatch(
                     f"eigenbasis shape {basis.shape} does not match dimension {d}"
                 )
-            # a real basis stored as complex is checked in real arithmetic,
-            # at a quarter of the flops of the complex product
+            # a real basis, stored real or as complex, is checked in real
+            # arithmetic, at a quarter of the flops of the complex product
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite or huge basis
-                if basis.imag.any():
+                if real:
+                    gram = basis.T @ basis
+                elif basis.imag.any():
                     gram = basis.conj().T @ basis
                 else:
                     gram = basis.real.T @ basis.real
@@ -175,8 +194,8 @@ class SpectralOperator:
         tol = self.tolerance
         if tol is None or tol < 0:
             tol = default_tolerance()
-        if not tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         object.__setattr__(self, "tolerance", float(tol))
 
     @property
@@ -214,6 +233,8 @@ class SpectralOperator:
             raise ValueError("vectors must be finite")
         if self.eigenbasis is None:
             return v.copy()
+        if np.isrealobj(self.eigenbasis):
+            return _real_basis_product(v, self.eigenbasis)
         # conj(conj(v) U) equals v conj(U) bit for bit, up to the sign of
         # zero parts, and copies v instead of the d x d basis
         out = np.conj(v) @ self.eigenbasis
@@ -227,7 +248,24 @@ class SpectralOperator:
             )
         if self.eigenbasis is None:
             return c.copy()
+        if np.isrealobj(self.eigenbasis):
+            return _real_basis_product(c, self.eigenbasis.T)
         return c @ self.eigenbasis.T
+
+
+def _real_basis_product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """v @ U for complex v and real U as one real product.
+
+    The real and imaginary rows of v are stacked above each other, so U
+    is read once. U stays the right-hand operand: on the left, against
+    the interleaved parts, the product is no faster than the complex one.
+    """
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[0]
+    parts = np.concatenate((rows.real, rows.imag)) @ U
+    out = np.empty((n, U.shape[1]), dtype=np.complex128)
+    out.real, out.imag = parts[:n], parts[n:]
+    return out.reshape(*v.shape[:-1], U.shape[1])
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,26 @@ def test_readme_file_format_examples_load(tmp_path, capsys):
     assert blob["complete"] is True
 
 
+@pytest.mark.parametrize("eigenvalues", [
+    pytest.param(None, id="readme-operator"),
+    pytest.param([[0.5, 0.0], [0.25, 0.25]], id="inside-unit-disk"),
+])
+def test_infinite_window_is_an_input_error(tmp_path, capsys, eigenvalues):
+    # on README's operator the window integral of eigenvalue 1 diverges; inside
+    # the unit disk the improper integral converges but is still no window
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1]
+    op_doc, vec_doc = re.findall(r"```json\n(.*?)```", section, flags=re.S)[:2]
+    if eigenvalues is not None:
+        op_doc = json.dumps({**json.loads(op_doc), "eigenvalues": eigenvalues})
+    op = tmp_path / "op.json"
+    vec = tmp_path / "gens.json"
+    op.write_text(op_doc, encoding="utf-8")
+    vec.write_text(vec_doc, encoding="utf-8")
+    code = main(["analyze", "--op", str(op), "--vectors", str(vec), "--L", "inf"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: interval length must be positive and finite\n"
+
+
 _GOOD_OP = {"eigenvalues": [[1.0, 0.0], [0.5, 0.0]]}
 _GOOD_VECTORS = {"vectors": [[[1.0, 0.0], [1.0, 0.0]]]}
 
@@ -380,6 +400,29 @@ def test_tolerance_env_var_changes_classification(incomplete_files, tmp_path,
     monkeypatch.setenv("DYNSAMP_TOL", "1e-2")
     assert main(args) == 2
     assert "incomplete" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["complete"], ["analyze", "--L", "1"]])
+def test_infinite_tolerance_is_an_input_error(tmp_path, monkeypatch, capsys, command):
+    rng = np.random.default_rng(43)
+    op = tmp_path / "op.json"
+    vec = tmp_path / "gens.json"
+    # the file states its tolerance, so only the rank cutoff reads the variable
+    save_operator(SpectralOperator(rng.normal(size=4), np.linalg.qr(rng.normal(size=(4, 4)))[0]), op)
+    save_vectors(VectorSet(rng.normal(size=(4, 4))), vec)
+    args = [command[0], "--op", str(op), "--vectors", str(vec), *command[1:]]
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("DYNSAMP_TOL", "inf")
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: DYNSAMP_TOL must be positive and finite")
+    # a file's infinite tolerance is an invalid file
+    monkeypatch.delenv("DYNSAMP_TOL")
+    text = op.read_text(encoding="utf-8")
+    assert '"tolerance": 1e-10' in text
+    op.write_text(text.replace('"tolerance": 1e-10', '"tolerance": 1e999'), encoding="utf-8")
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid op file {op}: tolerance must be")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,10 @@ def test_heat_cycle_validation():
         heat_cycle_operator(4, 0.0)
     with pytest.raises(ValueError):
         heat_cycle_operator(4, -2.0)
+    # rejected before any arithmetic: -inf * 0 would warn first
+    for diffusion in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="diffusion must be positive and finite"):
+            heat_cycle_operator(4, diffusion)
 
 
 # ---------------------------------------------------------------------------

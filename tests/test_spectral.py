@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dynframes.analysis import multiplier_bounds
+from dynframes.analysis import completeness_check, multiplier_bounds
 from dynframes.errors import DimensionMismatch, DomainError
+from dynframes.reconstruct import heat_cycle_operator
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
@@ -22,6 +23,7 @@ from dynframes.spectral import (
     operator_to_dict,
     pair_integral,
     pair_integral_matrix,
+    rank_tolerance_factor,
     save_operator,
     save_vectors,
     vectors_from_dict,
@@ -111,6 +113,13 @@ def test_pair_integral_trivial_cases():
     assert pair_integral(2.0, 0.0, 1.0) == 0.0
     with pytest.raises(DomainError):
         pair_integral(1.0, 1.0, 0.0)
+    # an infinite window is rejected, also where the improper integral
+    # converges, rather than reported as an overflow or returned
+    for lam in (1.0, 0.5):
+        with pytest.raises(DomainError, match="interval length must be positive and finite"):
+            pair_integral(lam, lam, math.inf)
+    with pytest.raises(DomainError, match="interval length must be positive and finite"):
+        pair_integral_matrix(np.array([0.5, 0.25j]), math.inf)
 
 
 def test_pair_integral_on_the_cut_is_real_window():
@@ -322,12 +331,97 @@ def test_to_eigenbasis_bitwise_equals_conjugated_basis_product(d):
     for shape in [(d,), (1, d), (5, d)]:
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         assert A.to_eigenbasis(v).tobytes() == (v @ np.conj(U)).tobytes()
-    # a real basis and real vectors give equal values; only the sign of
-    # the zero imaginary parts may differ
+    # a real basis is multiplied in real arithmetic, which rounds
+    # differently from the complex product; the two agree to a GEMM bound
     Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
     v = rng.normal(size=(3, d))
     got = SpectralOperator(np.ones(d), Q).to_eigenbasis(v)
-    assert np.array_equal(got, v @ np.conj(Q.astype(complex)))
+    _assert_within_gemm_bound(got, v @ np.conj(Q.astype(complex)), v, Q)
+
+
+def _assert_within_gemm_bound(got, want, v, Q):
+    """got and want are two roundings of v @ Q for real Q.
+
+    Each part of each entry is a sum of at most 2d products, so both lie
+    within gamma_2d (|part of v| @ |Q|) of the exact value, gamma_n =
+    n u / (1 - n u) with u the unit roundoff: they differ by at most twice that.
+    """
+    u = np.finfo(np.float64).eps / 2
+    n = 2 * Q.shape[0]
+    gamma = n * u / (1 - n * u)
+    for part in (np.real, np.imag):
+        bound = 2 * gamma * (np.abs(part(v)) @ np.abs(Q))
+        assert (np.abs(part(got) - part(want)) <= bound).all()
+
+
+def test_eigenbasis_dtype_follows_the_input(tmp_path):
+    rng = np.random.default_rng(31)
+    Q = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    for basis, dtype in [(Q, np.float64), (Q.tolist(), np.float64),
+                         (np.eye(5, dtype=int), np.float64),
+                         (Q.astype(complex), np.complex128),
+                         (random_unitary(rng, 5), np.complex128)]:
+        A = SpectralOperator(np.arange(1.0, 6.0), basis)
+        assert A.eigenbasis.dtype == dtype
+        assert not A.eigenbasis.flags.writeable
+        assert A.to_eigenbasis(np.ones(5)).dtype == np.complex128
+        assert A.from_eigenbasis(np.ones(5)).dtype == np.complex128
+    # a file holds [re, im] pairs: a real basis loads complex, and the
+    # loaded operator writes the same document again
+    A = SpectralOperator(np.arange(1.0, 6.0), Q)
+    path = tmp_path / "op.json"
+    save_operator(A, path)
+    text = path.read_text(encoding="utf-8")
+    B = load_operator(path)
+    assert B.eigenbasis.dtype == np.complex128
+    assert B.eigenbasis.tobytes() == Q.astype(complex).tobytes()
+    save_operator(B, path)
+    assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 200, 513])
+def test_real_basis_products_agree_with_the_complex_basis_products(d):
+    rng = np.random.default_rng(37 + d)
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    A = SpectralOperator(np.ones(d), Q)
+    B = SpectralOperator(np.ones(d), Q.astype(complex))
+    for shape in [(d,), (1, d), (3, d), (2, 3, d)]:
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = A.to_eigenbasis(v)
+        assert got.shape == shape
+        _assert_within_gemm_bound(got, B.to_eigenbasis(v), v, Q)
+        got = A.from_eigenbasis(v)
+        assert got.shape == shape
+        _assert_within_gemm_bound(got, B.from_eigenbasis(v), v, Q.T)
+
+
+def test_real_basis_products_do_not_copy_the_basis():
+    rng = np.random.default_rng(41)
+    d = 512
+    A = SpectralOperator(np.arange(d, dtype=float), np.linalg.qr(rng.normal(size=(d, d)))[0])
+    v = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    for product in (A.to_eigenbasis, A.from_eigenbasis):
+        tracemalloc.start()
+        try:
+            product(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.eigenbasis.nbytes / 4
+
+
+@pytest.mark.parametrize("d", [512, 1024, 2048])
+def test_real_basis_completeness_certificates_match_the_complex_basis(d):
+    # the span benchmark's systems: one sensor, two antipodal, three
+    A = heat_cycle_operator(d, 1.0)
+    assert A.eigenbasis.dtype == np.float64
+    B = SpectralOperator(A.eigenvalues, A.eigenbasis.astype(complex))
+    s = d // 3
+    for sensors in ([s], [s, s + d // 2], [1, s, d - 5]):
+        vecs = np.zeros((len(sensors), d), dtype=complex)
+        vecs[np.arange(len(sensors)), sensors] = 1.0
+        G = VectorSet(vecs)
+        assert completeness_check(A, G) == completeness_check(B, G)
 
 
 def test_tolerance_default_and_env(monkeypatch):
@@ -340,6 +434,18 @@ def test_tolerance_default_and_env(monkeypatch):
     # explicit tolerance wins over the environment
     C = SpectralOperator(np.ones(2), tolerance=1e-12)
     assert C.tolerance == 1e-12
+
+
+def test_tolerance_must_be_finite(monkeypatch):
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SpectralOperator(np.ones(2), tolerance=tol)
+    for value in ("inf", "nan", "0", "-1e-9"):
+        monkeypatch.setenv("DYNSAMP_TOL", value)
+        with pytest.raises(ValueError, match="DYNSAMP_TOL must be positive and finite"):
+            default_tolerance()
+        with pytest.raises(ValueError, match="DYNSAMP_TOL must be positive and finite"):
+            rank_tolerance_factor()
 
 
 # ---------------------------------------------------------------------------
