@@ -60,6 +60,7 @@ from .discretize import (
 from .reconstruct import (
     ReconstructionResult,
     SampleRecord,
+    Samples,
     heat_cycle_operator,
     reconstruct,
     sample,
@@ -111,6 +112,7 @@ __all__ = [
     "verify_discrete_implies_semicont",
     "window_scan",
     "SampleRecord",
+    "Samples",
     "ReconstructionResult",
     "sample",
     "reconstruct",

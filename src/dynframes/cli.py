@@ -41,8 +41,8 @@ from .discretize import (
     window_scan_to_dict,
 )
 from .gram import TimeGrid, quadrature_gram, semicont_gram
-from .reconstruct import reconstruct, sample
-from .spectral import load_operator, load_vectors
+from .reconstruct import Samples, reconstruct, sample
+from .spectral import default_tolerance, load_operator, load_vectors, rank_tolerance_factor
 
 __all__ = ["main"]
 
@@ -64,6 +64,11 @@ def _load_inputs(args: argparse.Namespace):
         except ValueError as exc:
             raise CLIError(f"invalid {kind} file {path}: {exc}") from None
 
+    # read DYNSAMP_TOL before the files, so that a bad value is not blamed on them
+    try:
+        default_tolerance(), rank_tolerance_factor()
+    except ValueError as exc:
+        raise CLIError(f"invalid DYNSAMP_TOL: {exc}") from None
     A = read(args.operator_path, load_operator, "op")
     G = read(args.vectors_path, load_vectors, "vectors")
     if A.dimension != G.dimension:
@@ -254,29 +259,27 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     truth = rng.normal(size=A.dimension) + 1j * rng.normal(size=A.dimension)
     grid = TimeGrid.uniform(n_times, args.L)
-    records = sample(A, G, truth, grid)
+    samples = sample(A, G, truth, grid)
     if noise > 0.0:
-        jitter = rng.normal(size=len(records)) + 1j * rng.normal(size=len(records))
-        records = [
-            type(rec)(rec.generator_index, rec.time, rec.value + noise * z)
-            for rec, z in zip(records, jitter)
-        ]
-    result = reconstruct(A, G, records, mode=args.mode, L=args.L, truth=truth)
+        shape = samples.values.shape
+        jitter = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        samples = Samples(samples.values + noise * jitter, samples.times)
+    result = reconstruct(A, G, samples, mode=args.mode, L=args.L, truth=truth)
     table = [
-        f"samples: {len(records)} ({len(G)} generators x {n_times} times)",
+        f"samples: {len(samples)} ({len(G)} generators x {n_times} times)",
         f"noise sigma: {noise:g}",
         f"solver iterations: {result.solver_iterations}",
         f"relative error against the true state: {result.residual:.6e}",
     ]
     obj = {
-        "samples": len(records),
+        "samples": len(samples),
         "noise": noise,
         "solver_iterations": result.solver_iterations,
         "relative_error": result.residual,
     }
     csv_rows = [
         ["samples", "noise", "solver_iterations", "relative_error"],
-        [len(records), noise, result.solver_iterations, result.residual],
+        [len(samples), noise, result.solver_iterations, result.residual],
     ]
     _emit(args, table, obj, csv_rows)
     return 0

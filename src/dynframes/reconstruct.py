@@ -9,15 +9,17 @@ built by conjugating the principal powers of the eigenvalues; it differs
 from (A*)^t on the negative real axis, where conjugation does not flip the
 branch argument -pi.
 
-Both work on one m x n array of samples (generators by times), computed in
-eigen-coordinates by ``sample`` and read back in any record order by ``reconstruct``.
+Both work on one m x n array of samples (generators by times): ``sample``
+computes it in eigen-coordinates and returns it as ``Samples``, which
+``reconstruct`` reads as it is.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .spectral import SpectralOperator, VectorSet, _power_profile
 
 __all__ = [
     "SampleRecord",
+    "Samples",
     "ReconstructionResult",
     "sample",
     "reconstruct",
@@ -35,20 +38,84 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One measurement <A^t f, g>; generator indices are 1-based."""
-
+class _SampleFields(NamedTuple):
     generator_index: int
     time: float
     value: complex
 
-    def __post_init__(self):
-        if int(self.generator_index) < 1:
+
+class SampleRecord(_SampleFields):
+    """One measurement <A^t f, g>; generator indices are 1-based."""
+
+    __slots__ = ()
+
+    def __new__(cls, generator_index, time, value):
+        if int(generator_index) < 1:
             raise ValueError("generator_index is 1-based")
-        object.__setattr__(self, "generator_index", int(self.generator_index))
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "value", complex(self.value))
+        return super().__new__(cls, int(generator_index), float(time), complex(value))
+
+
+class Samples(Sequence):
+    """Sample values on a time grid: ``values[g, i] = <A^{times[i]} f, g_{g+1}>``.
+
+    ``values`` (m x n, complex) and the grid ``times`` (n) are read-only
+    arrays. As a sequence it holds the m * n ``SampleRecord``s,
+    generator-major: all times of generator 1, then generator 2, and so on.
+    Records are built only when read.
+    """
+
+    __slots__ = ("values", "times")
+
+    def __init__(self, values, times):
+        values = np.array(values, dtype=np.complex128)
+        times = np.array(times, dtype=np.float64)
+        if values.ndim != 2 or times.shape != values.shape[1:]:
+            raise ValueError("samples need an m x n value array and n times")
+        values.setflags(write=False)
+        times.setflags(write=False)
+        self.values, self.times = values, times
+
+    @classmethod
+    def from_records(cls, records: Sequence, generators: int) -> "Samples":
+        """The records of ``generators`` generators, one per generator/time pair, in any order."""
+        m, count = generators, len(records)
+        try:
+            index = np.fromiter((r.generator_index for r in records), np.int64, count)
+        except OverflowError:  # an index beyond int64 is out of range; keep it exact
+            index = np.array([r.generator_index for r in records], dtype=object)
+        times, column = np.unique(np.fromiter((r.time for r in records), np.float64, count),
+                                  return_inverse=True)
+        n = times.size
+        outside = (index < 1) | (index > m)
+        if outside.any():
+            raise ValueError(f"generator_index {index[outside][0]} outside 1..{m}")
+        # slot k = (g - 1) * n + i counts the records of generator g at times[i]
+        hits = np.bincount((index - 1) * n + column, minlength=m * n)
+        if hits.max() > 1:
+            g, i = divmod(int(np.argmax(hits > 1)), n)
+            raise ValueError(f"duplicate sample for generator {g + 1} at t={float(times[i])}")
+        missing = np.flatnonzero(hits == 0)[:3].tolist()
+        if missing:
+            pairs = [(k // n + 1, float(times[k % n])) for k in missing]
+            raise ValueError(f"samples must cover all generator/time pairs; missing {pairs}")
+        values = np.empty((m, n), dtype=np.complex128)
+        values[index - 1, column] = np.fromiter((r.value for r in records), np.complex128, count)
+        return cls(values, times)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        g, i = divmod(range(len(self))[k], self.times.size)
+        return SampleRecord._make((g + 1, float(self.times[i]), complex(self.values[g, i])))
+
+    def __iter__(self):
+        m, n = self.values.shape
+        return map(SampleRecord._make, zip(np.repeat(np.arange(1, m + 1), n).tolist(),
+                                           np.tile(self.times, m).tolist(),
+                                           self.values.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -64,20 +131,15 @@ class ReconstructionResult:
         object.__setattr__(self, "estimate", est)
 
 
-def sample(A: SpectralOperator, G: VectorSet, f: np.ndarray, T: TimeGrid) -> list:
-    """Measure <A^t f, g> for every generator and grid time.
-
-    Records are generator-major: all times of generator 1, then generator 2,
-    and so on.
-    """
+def sample(A: SpectralOperator, G: VectorSet, f: np.ndarray, T: TimeGrid) -> Samples:
+    """Measure <A^t f, g> for every generator and grid time of T."""
     fv = np.asarray(f, dtype=np.complex128).reshape(-1)
     if fv.size != A.dimension or G.dimension != A.dimension:
         raise DimensionMismatch("state, generators and operator must share C^d")
     # values[g, i] = <lambda^{t_i} * fhat, ghat_g> in eigen-coordinates
     orbit_hat = _power_profile(A.eigenvalues, T.times) * A.to_eigenbasis(fv)
     values = np.conj(A.to_eigenbasis(G.vectors)) @ orbit_hat.T
-    return list(map(SampleRecord, np.repeat(np.arange(1, len(G) + 1), len(T)).tolist(),
-                    np.tile(T.times, len(G)).tolist(), values.ravel().tolist()))
+    return Samples(values, T.times)
 
 
 def reconstruct(
@@ -90,11 +152,12 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Solve the normal equations of the sampling map.
 
-    ``samples`` must cover the full generator-by-time product set, once
-    each, in any order. With mode="riemann" the terms are weighted by
-    left-rule panel widths, which needs the window length L. When ``truth``
-    is supplied the reported residual is the relative error against it;
-    otherwise it is the relative normal-equation residual.
+    ``samples`` is what ``sample`` returns, or any sequence of records that
+    covers the full generator-by-time product set, once each, in any order.
+    With mode="riemann" the terms are weighted by left-rule panel widths,
+    which needs the window length L. When ``truth`` is supplied the
+    reported residual is the relative error against it; otherwise it is the
+    relative normal-equation residual.
 
     Raises NotAFrame when the sampled system cannot determine the state.
     """
@@ -102,28 +165,9 @@ def reconstruct(
         raise ValueError(f"unknown mode {mode!r}")
     if not samples:
         raise ValueError("no samples given")
-    m, count = len(G), len(samples)
-    try:
-        index = np.fromiter((r.generator_index for r in samples), np.int64, count)
-    except OverflowError:  # an index beyond int64 is out of range; keep it exact
-        index = np.array([r.generator_index for r in samples], dtype=object)
-    times, column = np.unique(np.fromiter((r.time for r in samples), np.float64, count),
-                              return_inverse=True)
-    n = times.size
-    outside = (index < 1) | (index > m)
-    if outside.any():
-        raise ValueError(f"generator_index {index[outside][0]} outside 1..{m}")
-    # slot k = (g - 1) * n + i counts the records of generator g at times[i]
-    hits = np.bincount((index - 1) * n + column, minlength=m * n)
-    if hits.max() > 1:
-        g, i = divmod(int(np.argmax(hits > 1)), n)
-        raise ValueError(f"duplicate sample for generator {g + 1} at t={float(times[i])}")
-    missing = np.flatnonzero(hits == 0)[:3].tolist()
-    if missing:
-        pairs = [(k // n + 1, float(times[k % n])) for k in missing]
-        raise ValueError(f"samples must cover all generator/time pairs; missing {pairs}")
-    vals = np.empty((m, n), dtype=np.complex128)
-    vals[index - 1, column] = np.fromiter((r.value for r in samples), np.complex128, count)
+    if not (isinstance(samples, Samples) and len(samples.values) == len(G)):
+        samples = Samples.from_records(samples, len(G))
+    vals, times = samples.values, samples.times
     if not np.isfinite(vals).all():
         raise ValueError("sample values must be finite")
 

@@ -7,15 +7,17 @@ branch ``z^t = exp(t (ln|z| + i arg z))`` with ``arg z`` in ``[-pi, pi)``.
 
 Two vectorised kernels compute every power and window integral in the
 package: ``_power_profile`` (samples ``lambda^t``) and ``_window_integral``
-(``(e^{L alpha} - 1) / alpha``). They are where an overflowing power becomes
-a ``DomainError``. ``pair_integral`` is the one scalar entry point, kept for
-single windows such as the Bessel constant and the transfer bound.
+(``(e^{L alpha} - 1) / alpha``, through ``expm1``). They are where an
+overflowing power becomes a ``DomainError``. ``pair_integral`` is the one
+scalar entry point, kept for single windows such as the Bessel constant and
+the transfer bound.
 
 A basis given with a real dtype (the Fourier basis of a heat diffusion, any
 self-adjoint evolution with real eigenvectors) is stored as float64, a
 complex one as complex128. A real basis takes half the bytes, and each
 product with it is one real matrix product on the stacked real and
-imaginary parts of the vectors.
+imaginary parts of the vectors, or on the real parts alone when the
+vectors are real.
 
 JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
 in one conversion, so a loaded basis is complex. A malformed document raises
@@ -54,7 +56,6 @@ __all__ = [
     "save_vectors",
 ]
 
-_SMALL_EXPONENT = 1e-12
 _ORTHONORMAL_TOL = 1e-8
 
 
@@ -92,16 +93,20 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
 def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
     """(e^{L alpha} - 1) / alpha elementwise: the integral of e^{t alpha} over [0, L].
 
-    Returns L where |alpha| <= 1e-12 and 0 where Re alpha = -inf (a zero
+    Computed as L expm1(z) / z with z = L alpha, so no e^z - 1 cancels as
+    alpha nears 0 and the result keeps full relative precision there. Returns
+    L where |z| < eps, where expm1(z) / z is 1 to rounding (and dividing by a
+    subnormal z would overflow), and 0 where Re alpha = -inf (a zero
     eigenvalue); raises DomainError when a value overflows.
     """
     L = float(L)
     if not 0.0 < L < math.inf:
         raise DomainError("interval length must be positive and finite")
-    small = np.abs(alpha) <= _SMALL_EXPONENT
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (np.exp(L * alpha) - 1.0) / np.where(small, 1.0, alpha)
-    out = np.where(small, complex(L), np.where(alpha.real == -np.inf, 0.0, out))
+        z = L * alpha
+        tiny = np.abs(z) < np.finfo(np.float64).eps
+        out = L * (np.expm1(z) / np.where(tiny, 1.0, z))
+    out = np.where(tiny, complex(L), np.where(alpha.real == -np.inf, 0.0, out))
     return _require_finite(out, "window integral")
 
 
@@ -259,12 +264,17 @@ def _real_basis_product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
     The real and imaginary rows of v are stacked above each other, so U
     is read once. U stays the right-hand operand: on the left, against
     the interleaved parts, the product is no faster than the complex one.
+    Real vectors (one-hot sensors, real states) multiply their real rows
+    only.
     """
     rows = v.reshape(-1, v.shape[-1])
-    n = rows.shape[0]
-    parts = np.concatenate((rows.real, rows.imag)) @ U
-    out = np.empty((n, U.shape[1]), dtype=np.complex128)
-    out.real, out.imag = parts[:n], parts[n:]
+    if rows.imag.any():
+        n = rows.shape[0]
+        parts = np.concatenate((rows.real, rows.imag)) @ U
+        out = np.empty((n, U.shape[1]), dtype=np.complex128)
+        out.real, out.imag = parts[:n], parts[n:]
+    else:
+        out = (rows.real @ U).astype(np.complex128)
     return out.reshape(*v.shape[:-1], U.shape[1])
 
 

@@ -162,6 +162,31 @@ def test_frame_bounds_agree_with_mpmath_on_ill_conditioned_systems():
         checked += 1
 
 
+def test_frame_bounds_near_the_unit_circle_agree_with_mpmath():
+    # eigenvalues 1e-5 to 1e-11 inside the unit circle put window exponents
+    # of that size on the diagonal, and near-ties put small ones off it,
+    # where e^{L alpha} - 1 cancels. Eight rotations r e^{2 pi i k / 8} with
+    # g = ones (true lower about 5.9e-14); the pair r e^{+-1e-5 i} with
+    # g = (1, 1) (true lower 1.67e-11), at radii where the cancelling kernel
+    # gave a 213 times too high lower bound and a significantly negative
+    # eigenvalue of a positive semidefinite Gram
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    systems = [(r * np.exp(2j * np.pi * np.arange(8) / 8), np.ones((1, 8)))
+               for r in 1.0 - np.logspace(-5, -11, 7)]
+    for r in (0.999999992921, 0.999999992057):
+        lam = r * np.exp(1e-5j)
+        systems.append((np.array([lam, np.conj(lam)]), np.ones((1, 2))))
+    for lam, vecs in systems:
+        A, G = SpectralOperator(lam), VectorSet(vecs)
+        rep = frame_bounds(semicont_gram(A, G, 1.0))
+        with mpmath.workdps(40):
+            lower, upper = _mpmath_window_bounds(
+                mpmath.mp, A.eigenvalues, A.to_eigenbasis(G.vectors), 1.0)
+        assert abs(rep.lower - lower) <= 4 * eps * upper
+        assert abs(rep.upper - upper) <= 16 * eps * upper
+
+
 # ---------------------------------------------------------------------------
 # frame bounds
 

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynframes
 from dynframes.catalog import repro_catalog, run_entry
 from dynframes.cli import main
 from dynframes.spectral import SpectralOperator, VectorSet, save_operator, save_vectors
@@ -402,6 +406,21 @@ def test_tolerance_env_var_changes_classification(incomplete_files, tmp_path,
     assert "incomplete" in capsys.readouterr().out
 
 
+def test_bad_tolerance_variable_is_blamed_on_the_environment(tmp_path, monkeypatch, capsys):
+    # README's operator file states no tolerance, so loading it reads the
+    # variable; the error names the variable, not the file
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1]
+    op_doc, vec_doc = re.findall(r"```json\n(.*?)```", section, flags=re.S)[:2]
+    op = tmp_path / "op.json"
+    vec = tmp_path / "gens.json"
+    op.write_text(op_doc, encoding="utf-8")
+    vec.write_text(vec_doc, encoding="utf-8")
+    monkeypatch.setenv("DYNSAMP_TOL", "inf")
+    assert main(["complete", "--op", str(op), "--vectors", str(vec)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid DYNSAMP_TOL: DYNSAMP_TOL must be positive and finite, got inf\n")
+
+
 @pytest.mark.parametrize("command", [["complete"], ["analyze", "--L", "1"]])
 def test_infinite_tolerance_is_an_input_error(tmp_path, monkeypatch, capsys, command):
     rng = np.random.default_rng(43)
@@ -415,7 +434,8 @@ def test_infinite_tolerance_is_an_input_error(tmp_path, monkeypatch, capsys, com
     capsys.readouterr()
     monkeypatch.setenv("DYNSAMP_TOL", "inf")
     assert main(args) == 1
-    assert capsys.readouterr().err.startswith("error: DYNSAMP_TOL must be positive and finite")
+    assert capsys.readouterr().err == (
+        "error: invalid DYNSAMP_TOL: DYNSAMP_TOL must be positive and finite, got inf\n")
     # a file's infinite tolerance is an invalid file
     monkeypatch.delenv("DYNSAMP_TOL")
     text = op.read_text(encoding="utf-8")
@@ -435,6 +455,17 @@ def test_repro_list(capsys):
     assert code == 0
     for entry in repro_catalog():
         assert entry.name in out
+
+
+def test_module_runs_the_command_line():
+    # python -m dynframes is the console script without an install
+    env = {**os.environ, "PYTHONPATH": str(Path(dynframes.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "dynframes", "repro", "--list", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    names = [e["name"] for e in json.loads(run.stdout)["entries"]]
+    assert names == [entry.name for entry in repro_catalog()]
 
 
 def test_repro_unknown_name(capsys):

@@ -8,6 +8,7 @@ from dynframes.gram import TimeGrid
 from dynframes.reconstruct import (
     ReconstructionResult,
     SampleRecord,
+    Samples,
     heat_cycle_operator,
     reconstruct,
     sample,
@@ -121,8 +122,53 @@ def test_non_finite_states_and_samples_are_value_errors():
 def test_sample_record_validation():
     with pytest.raises(ValueError):
         SampleRecord(0, 0.0, 1.0)  # indices are 1-based
+    with pytest.raises(ValueError, match="1-based"):
+        SampleRecord(generator_index=0, time=0.0, value=1.0)
     rec = SampleRecord(2, 0.5, 1.0 - 2.0j)
     assert rec.generator_index == 2 and rec.value == 1.0 - 2.0j
+    # fields are coerced to int, float and complex; a record is a tuple
+    rec = SampleRecord(np.int64(3), np.float32(0.25), 2)
+    assert [type(x) for x in rec] == [int, float, complex]
+    assert rec == (3, 0.25, 2 + 0j)
+
+
+def _bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+def test_samples_records_are_the_per_value_records_bit_for_bit():
+    rng = np.random.default_rng(131)
+    A = random_normal_operator(rng, 5, with_basis=True)
+    G = random_vectors(rng, 3, 5)
+    f = rng.normal(size=5) + 1j * rng.normal(size=5)
+    T = TimeGrid(np.linspace(0.0, 1.0, 7, endpoint=False), 1.0)
+    samples = sample(A, G, f, T)
+    assert samples.values.shape == (3, 7) and np.array_equal(samples.times, T.times)
+    # one record per value, generator-major, as a list of records was built
+    expected = list(map(SampleRecord, np.repeat(np.arange(1, 4), 7).tolist(),
+                        np.tile(T.times, 3).tolist(), samples.values.ravel().tolist()))
+    for got in (list(samples), [samples[k] for k in range(len(samples))],
+                samples[:], [samples[k - len(samples)] for k in range(len(samples))]):
+        assert all(type(r) is SampleRecord for r in got)
+        assert [r.generator_index for r in got] == [r.generator_index for r in expected]
+        assert np.array_equal(_bits([r.time for r in got]), _bits([r.time for r in expected]))
+        assert np.array_equal(_bits([r.value for r in got]), _bits([r.value for r in expected]))
+    assert samples[3:9:2] == expected[3:9:2]
+    with pytest.raises(IndexError):
+        samples[len(samples)]
+
+
+def test_samples_values_are_read_only():
+    samples = Samples(np.ones((2, 3)), [0.0, 0.25, 0.5])
+    assert samples.values.dtype == np.complex128 and len(samples) == 6
+    with pytest.raises(ValueError):
+        samples.values[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        samples.times[0] = 1.0
+    with pytest.raises(ValueError, match="m x n"):
+        Samples(np.ones((2, 3)), [0.0, 0.5])
+    with pytest.raises(ValueError, match="m x n"):
+        Samples(np.ones(3), [0.0, 0.25, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +284,34 @@ def test_reconstruct_is_linear_in_the_samples():
     np.testing.assert_allclose(est, 2.0 * f - 0.5j * h, atol=1e-7)
 
 
+def test_reconstruct_reads_samples_as_its_records():
+    # the array path and the record path give bitwise-equal results
+    rng = np.random.default_rng(137)
+    A = random_normal_operator(rng, 5, with_basis=True)
+    G = random_vectors(rng, 3, 5)
+    f = rng.normal(size=5) + 1j * rng.normal(size=5)
+    T = TimeGrid(np.linspace(0.0, 1.0, 9, endpoint=False), 1.0)
+    samples = sample(A, G, f, T)
+    for kwargs in ({}, {"L": 1.0}, {"mode": "riemann", "L": 1.0}):
+        for truth in (None, f):
+            direct = reconstruct(A, G, samples, truth=truth, **kwargs)
+            records = reconstruct(A, G, list(samples), truth=truth, **kwargs)
+            assert np.array_equal(_bits(direct.estimate), _bits(records.estimate))
+            assert direct.residual == records.residual
+
+
+def test_reconstruct_rejects_samples_of_another_generator_count():
+    A = SpectralOperator(np.ones(2))
+    G = VectorSet(np.eye(2))
+    times = [0.0, 0.5]
+    with pytest.raises(ValueError, match="generator_index 3 outside 1..2"):
+        reconstruct(A, G, Samples(np.ones((3, 2)), times))
+    with pytest.raises(ValueError, match="cover"):
+        reconstruct(A, G, Samples(np.ones((1, 2)), times))
+    with pytest.raises(ValueError, match="sample values must be finite"):
+        reconstruct(A, G, Samples([[1.0, np.nan], [1.0, 1.0]], times))
+
+
 def test_reconstruct_without_truth_reports_normal_equation_residual():
     A = SpectralOperator(np.ones(2))
     G = VectorSet(np.eye(2))
@@ -299,9 +373,9 @@ def test_reconstruct_coverage_validation():
     with pytest.raises(ValueError, match="cover"):
         reconstruct(A, G, recs[:-1])
     with pytest.raises(ValueError, match="duplicate"):
-        reconstruct(A, G, recs + [recs[0]])
+        reconstruct(A, G, [*recs, recs[0]])
     with pytest.raises(ValueError, match="outside"):
-        reconstruct(A, G, recs + [SampleRecord(3, 0.25, 1.0)])
+        reconstruct(A, G, [*recs, SampleRecord(3, 0.25, 1.0)])
     with pytest.raises(ValueError, match="no samples"):
         reconstruct(A, G, [])
     with pytest.raises(ValueError):
@@ -325,9 +399,9 @@ def test_reconstruct_ignores_record_order():
         assert result.residual == ordered.residual
     bad_inputs = {
         "cover": recs[1:],
-        "duplicate": recs + [recs[7]],
-        "outside": recs + [SampleRecord(4, 0.5, 1.0)],
-        f"{2**70} outside": recs + [SampleRecord(2**70, 0.5, 1.0)],  # beyond int64
+        "duplicate": [*recs, recs[7]],
+        "outside": [*recs, SampleRecord(4, 0.5, 1.0)],
+        f"{2**70} outside": [*recs, SampleRecord(2**70, 0.5, 1.0)],  # beyond int64
     }
     for message, bad in bad_inputs.items():
         with pytest.raises(ValueError, match=message):

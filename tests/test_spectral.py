@@ -138,6 +138,28 @@ def test_pair_integral_known_value():
     assert abs(val - 5.0 / math.log(6.0)) < 1e-14
 
 
+def test_pair_integral_near_zero_exponent_matches_mpmath():
+    # (e^{L alpha} - 1) / alpha where e^{L alpha} - 1 would cancel: |alpha|
+    # in [1e-12, 1e-4], real, imaginary and mixed. mu = 1 adds nothing to the
+    # exponent, so alpha is lam's principal log, formed here as the package
+    # forms it, and the 40-digit reference is taken at that float alpha
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    L = 1.5
+    for size in np.geomspace(1e-12, 1e-4, 9):
+        for direction in (1.0, -1.0, 1j, -1j, cmath.exp(0.7j), cmath.exp(-2.1j)):
+            lam = np.array([cmath.exp(size * direction)])
+            alpha = complex(np.log(np.abs(lam))[0], np.arctan2(lam.imag, lam.real)[0])
+            with mpmath.workdps(40):
+                a = mpmath.mpc(alpha)
+                want = complex((mpmath.exp(L * a) - 1) / a)
+            got = pair_integral(complex(lam[0]), 1.0, L)
+            assert abs(got - want) <= 4 * eps * abs(want), (size, direction)
+    # an exponent whose product with L is subnormal or underflows to 0
+    assert pair_integral(complex(1.0, 1e-310), 1.0, 0.3) == 0.3
+    assert pair_integral(complex(1.0, 5e-324), 1.0, 0.3) == 0.3
+
+
 @given(lam=nonzero_complex, mu=nonzero_complex, L=st.sampled_from([0.5, 1.0, 2.0]))
 def test_pair_integral_hermitian_symmetry(lam, mu, L):
     a = pair_integral(lam, mu, L)
