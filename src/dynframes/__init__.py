@@ -17,7 +17,6 @@ from .errors import (
     NotInvertible,
 )
 from .spectral import (
-    EigenGroup,
     SpectralOperator,
     VectorSet,
     apply_power_batch,
@@ -81,7 +80,6 @@ __all__ = [
     "SpectralOperator",
     "VectorSet",
     "TimeGrid",
-    "EigenGroup",
     "apply_power_batch",
     "pair_integral",
     "group_eigenspaces",

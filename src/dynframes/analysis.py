@@ -168,22 +168,30 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     every eigenvalue group, the projected generators already span that
     group's eigenspace. Each group's rank is the count of its block's
     singular values above the relative rank cutoff; the blocks of all
-    groups of one size go to LAPACK as one stack.
+    groups of one size go to LAPACK as one stack. The groups come from the
+    label array of ``group_eigenspaces``: their sizes from one bincount,
+    their members from one stable argsort.
     """
     ghat_t = A.to_eigenbasis(G.vectors).T
-    groups = group_eigenspaces(A)
-    sizes = np.array([len(grp.indices) for grp in groups])
-    achieved = np.empty(len(groups), dtype=int)
-    for size in np.unique(sizes):
+    labels = group_eigenspaces(A)
+    sizes = np.bincount(labels)
+    # the indices of each group in ascending order, group after group
+    members = np.argsort(labels, kind="stable")
+    start = np.cumsum(sizes) - sizes
+    achieved = np.empty(sizes.size, dtype=int)
+    for size in np.unique(sizes).tolist():
         which = np.flatnonzero(sizes == size)
         # (k, size, |G|): row i of a block is eigen-coordinate i of every generator
-        blocks = ghat_t[np.array([groups[w].indices for w in which])]
+        blocks = ghat_t[members[start[which, None] + np.arange(size)]]
         achieved[which] = _svd_rank(blocks)
-    entries = tuple(
-        GroupRank(grp.value, grp.indices, len(grp.indices), rank)
-        for grp, rank in zip(groups, achieved.tolist())
-    )
-    return CompletenessCertificate(entries, all(e.achieved == e.required for e in entries))
+    flat = members.tolist()
+    entries = tuple(map(GroupRank._make, zip(
+        A.eigenvalues[members[start]].tolist(),
+        [tuple(flat[i:i + n]) for i, n in zip(start.tolist(), sizes.tolist())],
+        sizes.tolist(),
+        achieved.tolist(),
+    )))
+    return CompletenessCertificate(entries, bool((achieved == sizes).all()))
 
 
 def brute_force_completeness(

@@ -224,11 +224,19 @@ def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
     k = np.arange(d)
     lam = np.exp(-diffusion * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / d)))
     j = np.arange(d)
+    h = (d + 1) // 2
     basis = np.zeros((d, d))
     basis[:, 0] = 1.0 / math.sqrt(d)
-    for kk in range(1, (d + 1) // 2):
-        basis[:, kk] = math.sqrt(2.0 / d) * np.cos(2.0 * np.pi * kk * j / d)
-        basis[:, d - kk] = math.sqrt(2.0 / d) * np.sin(2.0 * np.pi * kk * j / d)
+    # cosines in columns 1 .. h - 1 and sines in columns d - 1 down to
+    # d - h + 1, of the angles (2 pi kk) j / d for the wavenumbers kk = 1 ..
+    # h - 1; built in place, so no half-basis temporary stays behind
+    cos, sin = basis[:, 1:h], basis[:, :d - h:-1]
+    np.multiply.outer(j, 2.0 * np.pi * np.arange(1, h), out=cos)
+    cos /= d
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
+    cos *= math.sqrt(2.0 / d)
+    sin *= math.sqrt(2.0 / d)
     if d % 2 == 0:
         basis[:, d // 2] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(d)
     return SpectralOperator(lam, basis)

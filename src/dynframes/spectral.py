@@ -17,7 +17,14 @@ self-adjoint evolution with real eigenvectors) is stored as float64, a
 complex one as complex128. A real basis takes half the bytes, and each
 product with it is one real matrix product on the stacked real and
 imaginary parts of the vectors, or on the real parts alone when the
-vectors are real.
+vectors are real. ``to_eigenbasis`` multiplies only the basis rows where
+some vector is nonzero, so one-hot sensors cost a row gather.
+
+``group_eigenspaces`` labels each eigenvalue index with its group: near
+ties within the tolerance, closed transitively, numbered by first index.
+It bins the values into cells of side about the tolerance, so it compares
+each value only with its neighbouring cells, and it joins a cell whose
+values are all within the tolerance without comparing them.
 
 JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
 in one conversion, so a loaded basis is complex. A malformed document raises
@@ -30,7 +37,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +46,6 @@ from .errors import DimensionMismatch, DomainError
 __all__ = [
     "SpectralOperator",
     "VectorSet",
-    "EigenGroup",
     "apply_power_batch",
     "pair_integral",
     "pair_integral_matrix",
@@ -57,6 +63,8 @@ __all__ = [
 ]
 
 _ORTHONORMAL_TOL = 1e-8
+# value pairs group_eigenspaces compares at once
+_PAIR_SLICE = 1 << 18
 
 
 def _env_tolerance(default: str) -> float:
@@ -227,22 +235,29 @@ class SpectralOperator:
         """Coordinates of vectors (last axis = C^d index) in the eigenbasis.
 
         Every state and generator enters the computations here, so this is
-        where a NaN or inf vector is rejected with ``ValueError``.
+        where a NaN or inf vector is rejected with ``ValueError``. Only the
+        basis rows where some vector is nonzero enter the product, so
+        one-hot sensors cost a row gather.
         """
         v = np.asarray(vecs, dtype=np.complex128)
-        if v.shape[-1] != self.dimension:
-            raise DimensionMismatch(
-                f"vector length {v.shape[-1]} does not match dimension {self.dimension}"
-            )
+        d = self.dimension
+        if v.shape[-1] != d:
+            raise DimensionMismatch(f"vector length {v.shape[-1]} does not match dimension {d}")
         if not np.isfinite(v).all():
             raise ValueError("vectors must be finite")
-        if self.eigenbasis is None:
+        U = self.eigenbasis
+        if U is None:
             return v.copy()
-        if np.isrealobj(self.eigenbasis):
-            return _real_basis_product(v, self.eigenbasis)
+        if np.count_nonzero(v) < v.size:
+            # a column that is zero in every vector adds nothing
+            nz = np.flatnonzero(v.reshape(-1, d).any(axis=0))
+            if nz.size < d:  # gathering every row would copy U
+                v, U = v[..., nz], U[nz]
+        if np.isrealobj(U):
+            return _real_basis_product(v, U)
         # conj(conj(v) U) equals v conj(U) bit for bit, up to the sign of
         # zero parts, and copies v instead of the d x d basis
-        out = np.conj(v) @ self.eigenbasis
+        out = np.conj(v) @ U
         return np.conj(out, out=out)
 
     def from_eigenbasis(self, coords: np.ndarray) -> np.ndarray:
@@ -267,7 +282,7 @@ def _real_basis_product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
     Real vectors (one-hot sensors, real states) multiply their real rows
     only.
     """
-    rows = v.reshape(-1, v.shape[-1])
+    rows = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
     if rows.imag.any():
         n = rows.shape[0]
         parts = np.concatenate((rows.real, rows.imag)) @ U
@@ -313,54 +328,116 @@ class VectorSet:
         return iter(self.vectors)
 
 
-class EigenGroup(NamedTuple):
-    value: complex
-    indices: tuple
+def group_eigenspaces(A: SpectralOperator) -> np.ndarray:
+    """Group label of each eigenvalue index, groups numbered by first index.
 
-
-def group_eigenspaces(A: SpectralOperator) -> list:
-    """Partition eigenvalue indices into groups closed under tolerance ties.
-
-    Two indices land in the same group when their eigenvalues are within
+    Two indices share a group when their eigenvalues are within
     ``A.tolerance`` of each other, taking the transitive closure (a chain of
-    near ties merges into one group). Groups are ordered by their smallest
-    index and carry the eigenvalue at that index.
+    near ties merges into one group). Group 0 holds index 0, and each next
+    number goes to the group of the smallest index not yet labelled.
 
-    Exact ties collapse first, so a degenerate spectrum costs what its
-    distinct values cost. Candidate pairs of distinct values come from one
-    sweep in real-part order: values within the tolerance have real parts
-    within it, so each one is compared only with the few that follow it.
+    Exact ties collapse first. The distinct values fall into square cells
+    whose side is a power of two above tol, so a value's partners lie in
+    its own cell or the eight around it. A cell, or two neighbouring cells,
+    whose bounding box has a diagonal within tol is one group outright, so
+    a dense near-tie cluster costs what its cells cost; the values of any
+    other cell or pair of neighbours are compared one pair at a time.
     """
-    lam = A.eigenvalues
-    tol = A.tolerance
-    # sorted lexicographically, so the real parts of srt are nondecreasing
-    srt, inverse = np.unique(lam, return_inverse=True)
-    n = srt.size
-    # the window reaches 2 * tol so that rounding in the subtraction or in
-    # the shifted bound cannot drop a partner; the exact test below decides
-    reach = np.searchsorted(srt.real, srt.real + 2.0 * tol, side="right") - np.arange(n)
-    parent = list(range(n))
+    lam, tol = A.eigenvalues, A.tolerance
+    _, first, inverse = np.unique(lam, return_index=True, return_inverse=True)
+    # node j is the j-th distinct value to appear, so the smallest node of a
+    # component marks the group that comes first
+    by_first = np.argsort(first)
+    node = np.empty_like(by_first)
+    node[by_first] = np.arange(by_first.size)
+    z = lam[first[by_first]]
+    # cells of side 2^e: a power of two, so every key is an exact floor;
+    # above tol with room for the last bits of hypot, so partners are at
+    # most one key apart; at least 2^-50 max|z|, so keys stay below 2^50
+    # and key + 1 is exact too
+    e = max(math.frexp(tol * (1.0 + 1e-12))[1],
+            math.frexp(np.abs(z.view(np.float64)).max())[1] - 50)
+    # complex keys sort lexicographically: column by column, row by row
+    keys = np.floor(np.ldexp(z.real, -e)) + 1j * np.floor(np.ldexp(z.imag, -e))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # cell c holds the values order[start[c]:start[c] + count[c]]
+    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    count = np.diff(start, append=keys.size)
+    cells = keys[start]
+    # each cell's neighbours above it and in the next column: up to three
+    # consecutive cells from row ky + 1 of its column and from row ky - 1
+    # of the next
+    first_row = np.array([1j, 1 - 1j])[:, None] + cells
+    near = np.searchsorted(cells, first_row)[..., None] + np.arange(3)
+    q = np.minimum(near, cells.size - 1)
+    dx, a, t = np.nonzero((near < cells.size) & (cells.real[q] == first_row.real[..., None])
+                          & (cells.imag[q] <= cells.imag[:, None] + 1))
+    b = q[dx, a, t]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    x, y = z.real[order], z.imag[order]
+    lo_x, hi_x = np.minimum.reduceat(x, start), np.maximum.reduceat(x, start)
+    lo_y, hi_y = np.minimum.reduceat(y, start), np.maximum.reduceat(y, start)
 
-    for k in range(1, int(reach.max())):
-        pos = np.flatnonzero(reach > k)
-        gap = srt[pos + k] - srt[pos]
+    def within_tol(a, b):
+        # rounding is monotone, so no pair's gap exceeds the box's; the
+        # margin covers the last bit of hypot
+        width = np.maximum(hi_x[a], hi_x[b]) - np.minimum(lo_x[a], lo_x[b])
+        height = np.maximum(hi_y[a], hi_y[b]) - np.minimum(lo_y[a], lo_y[b])
+        return np.hypot(width, height) <= tol * (1.0 - 4.0 * np.finfo(np.float64).eps)
+
+    every = np.arange(cells.size)
+    own, both = within_tol(every, every), within_tol(a, b)
+    # a cell within tol joins its values to its first, two cells their firsts
+    mine = np.repeat(own, count)
+    root = _join(np.arange(z.size), order[np.repeat(start, count)][mine], order[mine])
+    root = _join(root, order[start[a[both]]], order[start[b[both]]])
+    # any other cell or pair compares every value with every value, a
+    # slice of pairs at a time to bound the memory it takes
+    pa = np.concatenate((a[~both], every[~own]))
+    pb = np.concatenate((b[~both], every[~own]))
+    nb = count[pb]
+    pairs = count[pa] * nb
+    total = int(pairs.sum())
+    for lo in range(0, total, _PAIR_SLICE):
+        blk, k = _slots(pairs, lo, min(lo + _PAIR_SLICE, total))
+        i = order[start[pa][blk] + k // nb[blk]]
+        j = order[start[pb][blk] + k % nb[blk]]
+        gap = z[i] - z[j]
         # hypot rounds like the scalar abs(); numpy's vectorised complex
         # abs can differ by an ulp and flip a tie that sits at the tolerance
-        for i in pos[np.hypot(gap.real, gap.imag) <= tol].tolist():
-            parent[find(i + k)] = find(i)
+        near_pair = np.hypot(gap.real, gap.imag) <= tol
+        root = _join(root, i[near_pair], j[near_pair])
+    # the roots, in increasing order, are the groups in order of first index
+    label = np.cumsum(root == np.arange(z.size)) - 1
+    return label[root][node[inverse]]
 
-    root = [find(i) for i in range(n)]
-    # filled in index order, so the groups come out ordered by first index
-    groups: dict = {}
-    for i, u in enumerate(inverse.tolist()):
-        groups.setdefault(root[u], []).append(i)
-    return [EigenGroup(complex(lam[m[0]]), tuple(m)) for m in groups.values()]
+
+def _slots(sizes: np.ndarray, lo: int, hi: int) -> tuple:
+    """Block and offset in it of slots lo..hi-1 of blocks of these sizes laid end to end."""
+    ends = np.cumsum(sizes)
+    slot = np.arange(lo, hi)
+    blk = np.searchsorted(ends, slot, side="right")
+    return blk, slot - (ends - sizes)[blk]
+
+
+def _join(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Roots after adding edges (u, v) to a forest given as each node's root.
+
+    A root is the smallest node of its component.
+    """
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return root
+        # hook each larger root under the smallest root it touches (any
+        # smaller one would do, but a hub with many smaller neighbours would
+        # then take one round per neighbour), then point every node at its root
+        np.minimum.at(root, np.maximum(ru[cross], rv[cross]), np.minimum(ru[cross], rv[cross]))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray) -> np.ndarray:

@@ -159,6 +159,24 @@ def simpson_pair_integral(lam, mu, L, panels=1 << 14):
     return simpson_quadrature(vals, L)
 
 
+def heat_cycle_basis_by_column(d):
+    """The real Fourier basis of the d-cycle, one wavenumber at a time.
+
+    The oracle for the basis ``heat_cycle_operator`` builds in one outer
+    product: constant, cosine and sine pairs, and the alternating vector
+    when d is even.
+    """
+    j = np.arange(d)
+    basis = np.zeros((d, d))
+    basis[:, 0] = 1.0 / math.sqrt(d)
+    for kk in range(1, (d + 1) // 2):
+        basis[:, kk] = math.sqrt(2.0 / d) * np.cos(2.0 * np.pi * kk * j / d)
+        basis[:, d - kk] = math.sqrt(2.0 / d) * np.sin(2.0 * np.pi * kk * j / d)
+    if d % 2 == 0:
+        basis[:, d // 2] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(d)
+    return basis
+
+
 def group_eigenspaces_pairwise(lam, tol):
     """Eigenvalue groups by comparing every pair of indices: the grouping oracle.
 
@@ -189,6 +207,19 @@ def group_eigenspaces_pairwise(lam, tol):
     return [(complex(lam[m[0]]), tuple(m)) for m in sorted(groups.values(), key=lambda m: m[0])]
 
 
+def groups_from_labels(lam, labels):
+    """(value, indices) per group label 0, 1, ..., one label at a time.
+
+    The value is the eigenvalue at the group's first index, the form
+    ``group_eigenspaces_pairwise`` returns.
+    """
+    out = []
+    for g in range(int(labels.max()) + 1):
+        indices = tuple(np.flatnonzero(labels == g).tolist())
+        out.append((complex(lam[indices[0]]), indices))
+    return out
+
+
 def completeness_per_group(A, G):
     """Spanning certificate with one SVD per eigenvalue group: the rank oracle.
 
@@ -200,14 +231,14 @@ def completeness_per_group(A, G):
     ghat = A.to_eigenbasis(G.vectors)
     entries = []
     complete = True
-    for grp in group_eigenspaces(A):
-        block = ghat[:, list(grp.indices)].T
+    for value, indices in groups_from_labels(A.eigenvalues, group_eigenspaces(A)):
+        block = ghat[:, list(indices)].T
         svals = np.linalg.svd(block, compute_uv=False)
         achieved = int(np.count_nonzero(svals > rank_tolerance_factor() * svals[0]))
-        required = len(grp.indices)
+        required = len(indices)
         if achieved < required:
             complete = False
-        entries.append(GroupRank(grp.value, grp.indices, required, achieved))
+        entries.append(GroupRank(value, indices, required, achieved))
     return CompletenessCertificate(tuple(entries), complete)
 
 

@@ -14,7 +14,13 @@ from dynframes.reconstruct import (
     sample,
 )
 from dynframes.spectral import SpectralOperator, VectorSet, apply_power_batch
-from helpers import dense_matrix, random_normal_operator, random_self_adjoint_operator, random_vectors
+from helpers import (
+    dense_matrix,
+    heat_cycle_basis_by_column,
+    random_normal_operator,
+    random_self_adjoint_operator,
+    random_vectors,
+)
 
 
 def cycle_laplacian(d):
@@ -182,6 +188,12 @@ def test_heat_cycle_matches_dense_laplacian():
         dense = V @ np.diag(np.exp(-w)) @ V.T
         np.testing.assert_allclose(dense_matrix(A).real, dense, atol=1e-12)
         np.testing.assert_allclose(dense_matrix(A).imag, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [*range(2, 10), 64, 512])
+def test_heat_cycle_basis_equals_the_column_by_column_construction(d):
+    A = heat_cycle_operator(d, 1.0)
+    assert A.eigenbasis.tobytes() == heat_cycle_basis_by_column(d).tobytes()
 
 
 def test_heat_cycle_structure():

@@ -14,6 +14,7 @@ from dynframes.reconstruct import heat_cycle_operator
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
+    _real_basis_product,
     apply_power_batch,
     default_tolerance,
     group_eigenspaces,
@@ -32,6 +33,7 @@ from dynframes.spectral import (
 from helpers import (
     dense_matrix,
     group_eigenspaces_pairwise,
+    groups_from_labels,
     operator_arrays_by_element,
     operator_to_dict_by_element,
     random_normal_operator,
@@ -432,6 +434,64 @@ def test_real_basis_products_do_not_copy_the_basis():
         assert peak < A.eigenbasis.nbytes / 4
 
 
+def _full_product(v, U):
+    """v conj(U) over every column of v: the product without the support gather."""
+    if np.isrealobj(U):
+        return _real_basis_product(v, U)
+    return v @ np.conj(U)
+
+
+def _assert_within_complex_gemm_bound(got, want, v, U):
+    """got and want are two roundings of v conj(U).
+
+    Each part of each entry is a sum of at most 2d products whose moduli
+    add up to at most (|v| @ |U|), so both lie within gamma_2d times that of
+    the exact value.
+    """
+    u = np.finfo(np.float64).eps / 2
+    n = 2 * U.shape[0]
+    bound = 2 * n * u / (1 - n * u) * (np.abs(v) @ np.abs(U))
+    for part in (np.real, np.imag):
+        assert (np.abs(part(got) - part(want)) <= bound).all()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real_basis", "complex_basis"])
+def test_to_eigenbasis_multiplies_only_the_support(real):
+    rng = np.random.default_rng(43)
+    d = 96
+    U = np.linalg.qr(rng.normal(size=(d, d)))[0] if real else random_unitary(rng, d)
+    A = SpectralOperator(np.ones(d), U)
+
+    # one-hot rows, with real, negative and imaginary weights: a row gather
+    onehot = np.zeros((4, d), dtype=complex)
+    onehot[np.arange(4), [5, 17, 17, 90]] = [1.0, -2.5, 1j, 0.5 - 2j]
+    for v in (onehot, onehot[:1], onehot[0], onehot[:2].real, 1j * onehot[:2].real):
+        assert A.to_eigenbasis(v).tobytes() == _full_product(v, U).tobytes()
+
+    # general sparse rows, some with imaginary nonzeros only: the same sum
+    # without its zero terms
+    sparse = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    sparse[rng.random((3, d)) < 0.7] = 0.0
+    sparse[:, 40:60] = 0.0
+    for v in (sparse, sparse.real, sparse[1], 1j * sparse.imag):
+        got = A.to_eigenbasis(v)
+        assert got.shape == np.shape(v)
+        _assert_within_complex_gemm_bound(got, _full_product(v, U), v, U)
+
+    # an all-zero input gathers nothing, and an all-zero row comes out zero
+    # (its zeros' signs may differ from the full product's)
+    for v in (np.zeros(d), np.zeros((2, d)), np.zeros((0, d)), 1j * onehot.real):
+        got = A.to_eigenbasis(v)
+        assert got.shape == v.shape and np.array_equal(got, _full_product(v, U))
+
+    # a NaN outside the other rows' support is still found
+    for bad in (np.nan, complex(0.0, np.inf)):
+        v = onehot.copy()
+        v[2, 60] = bad
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            A.to_eigenbasis(v)
+
+
 @pytest.mark.parametrize("d", [512, 1024, 2048])
 def test_real_basis_completeness_certificates_match_the_complex_basis(d):
     # the span benchmark's systems: one sensor, two antipodal, three
@@ -476,21 +536,25 @@ def test_tolerance_must_be_finite(monkeypatch):
 
 def test_group_eigenspaces_distinct_and_repeated():
     A = SpectralOperator(np.array([1.0, 2.0, 1.0, 3.0], dtype=complex))
-    groups = group_eigenspaces(A)
-    assert [g.indices for g in groups] == [(0, 2), (1,), (3,)]
+    assert group_eigenspaces(A).tolist() == [0, 1, 0, 2]
     # a fully degenerate spectrum is one group, found without pairwise work
-    (only,) = group_eigenspaces(SpectralOperator(np.ones(4096)))
-    assert only.value == 1.0 and only.indices == tuple(range(4096))
+    assert group_eigenspaces(SpectralOperator(np.ones(4096))).tolist() == [0] * 4096
+
+
+def test_group_eigenspaces_near_tie_cluster_is_one_group():
+    # 4096 distinct values, all within the tolerance of each other: one
+    # group, found without comparing every pair
+    A = SpectralOperator(1 + 1e-14 * np.arange(4096))
+    assert group_eigenspaces(A).tolist() == [0] * 4096
 
 
 def test_group_eigenspaces_transitive_chain():
     lam = np.array([1.0, 1.0 + 0.9e-10, 1.0 + 1.8e-10, 2.0], dtype=complex)
     A = SpectralOperator(lam, tolerance=1e-10)
-    groups = group_eigenspaces(A)
-    assert [g.indices for g in groups] == [(0, 1, 2), (3,)]
+    assert group_eigenspaces(A).tolist() == [0, 0, 0, 1]
     # with a tighter tolerance the chain splits apart
     B = SpectralOperator(lam, tolerance=1e-12)
-    assert len(group_eigenspaces(B)) == 4
+    assert group_eigenspaces(B).tolist() == [0, 1, 2, 3]
 
 
 GROUP_TOL = 1e-10
@@ -519,9 +583,16 @@ tied_spectrum = st.lists(
 @example(lam=[0.5 + 0.5j] * 64)  # a fully degenerate spectrum
 @example(lam=[1.0, 1.0 + 0.7e-10] * 32 + [1.0 + 1.4e-10])  # tied clusters chained
 @example(lam=[0.0, -0.0, complex(-0.0, 0.0), 1e-11])  # signed zeros are one value
+@example(lam=[1.0 + 0.6e-10 * k for k in range(40)])  # a chain across many cells
+# near 1e5 one ulp is 2^-36, so 6 ulps are within the tolerance and 7 are not
+@example(lam=[1e5 + k * 2.0**-36 for k in (0, 6, 13, 20, 30)] + [1e5 + (4 + 5j) * 2.0**-36])
+# a modulus of 1e12 makes the cells far wider than the tolerance
+@example(lam=[3.0, 3.0 + 0.5e-10, 3.0 + 2.5e-10, 3.0 + 1e-10j, 1e12])
 def test_group_eigenspaces_matches_pairwise_oracle(lam):
     A = SpectralOperator(np.array(lam, dtype=complex), tolerance=GROUP_TOL)
-    groups = [(g.value, g.indices) for g in group_eigenspaces(A)]
+    labels = group_eigenspaces(A)
+    assert labels.shape == (A.dimension,) and labels.dtype.kind == "i"
+    groups = groups_from_labels(A.eigenvalues, labels)
     assert groups == group_eigenspaces_pairwise(A.eigenvalues, GROUP_TOL)
 
 
