@@ -98,17 +98,6 @@ class CarlesonReport:
     verdict: str
     tail_increasing: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "inf_product": self.inf_product,
-            "per_index_products": list(self.per_index_products),
-            "conditions": dict(self.conditions),
-            "c_v": self.c_v,
-            "C_v": self.C_v,
-            "verdict": self.verdict,
-            "tail_increasing": self.tail_increasing,
-        }
-
 
 def frame_bounds(S) -> FrameReport:
     """Extreme eigenvalues of a Gram (its ``hat``) and the frame classification.

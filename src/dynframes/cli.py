@@ -4,6 +4,11 @@ Each subcommand's parser names its handler (``set_defaults(handler=...)``),
 and the handler reads the parsed argparse namespace directly. Only
 ``reconstruct`` draws random numbers, so only it takes ``--seed``.
 
+This module is the package's one report layer: the library returns results,
+and each handler builds its JSON payload and table lines from them. One
+renderer, ``_emit``, writes the payload as JSON, the table as lines, or named
+columns as CSV, whose one default row reads those fields of the payload.
+
 Exit codes: 0 when the requested analysis computed a positive answer, 2 when
 it computed a negative classification (not a frame, incomplete, not
 frameable), 1 for genuine errors (unreadable input, domain violations,
@@ -19,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,14 +38,7 @@ from .analysis import (
     frame_bounds,
 )
 from .catalog import repro_catalog, run_entry
-from .discretize import (
-    discretization_to_dict,
-    find_discretization,
-    verify_discrete_implies_semicont,
-    window_scan,
-    window_scan_to_csv_rows,
-    window_scan_to_dict,
-)
+from .discretize import find_discretization, verify_discrete_implies_semicont, window_scan
 from .gram import TimeGrid, quadrature_gram, semicont_gram
 from .reconstruct import Samples, reconstruct, sample
 from .spectral import default_tolerance, load_operator, load_vectors, rank_tolerance_factor
@@ -79,38 +78,24 @@ def _load_inputs(args: argparse.Namespace):
     return A, G
 
 
-def _emit(args: argparse.Namespace, table_lines, json_obj, csv_rows) -> None:
+def _emit(args: argparse.Namespace, obj, table, columns, rows=None) -> None:
+    """Write obj as JSON, table as lines, or columns above rows (default: obj's) as CSV."""
     fmt = args.output_format
     if fmt == "json":
-        text = json.dumps(json_obj, indent=2) + "\n"
+        text = json.dumps(obj, indent=2) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerows(csv_rows)
+        writer.writerow(columns)
+        writer.writerows([[obj[c] for c in columns]] if rows is None else rows)
         text = buf.getvalue()
     else:
-        text = "\n".join(table_lines) + "\n"
+        text = "\n".join(table) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _report_payload(rep):
-    table = [
-        f"lower:            {rep.lower:.12g}",
-        f"upper:            {rep.upper:.12g}",
-        f"classification:   {rep.classification}",
-        f"dimension:        {rep.dimension}",
-        f"condition_number: {rep.condition_number:.12g}",
-        f"method:           {rep.method}",
-    ]
-    csv_rows = [
-        ["lower", "upper", "classification", "dimension", "condition_number"],
-        [rep.lower, rep.upper, rep.classification, rep.dimension, rep.condition_number],
-    ]
-    return table, rep.to_dict(), csv_rows
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -120,25 +105,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         gram = semicont_gram(A, G, args.L)
     rep = frame_bounds(gram)
-    _emit(args, *_report_payload(rep))
+    table = [
+        f"lower:            {rep.lower:.12g}",
+        f"upper:            {rep.upper:.12g}",
+        f"classification:   {rep.classification}",
+        f"dimension:        {rep.dimension}",
+        f"condition_number: {rep.condition_number:.12g}",
+        f"method:           {rep.method}",
+    ]
+    columns = ["lower", "upper", "classification", "dimension", "condition_number"]
+    _emit(args, rep.to_dict(), table, columns)
     return 0 if rep.classification == FRAME else 2
 
 
 def _cmd_complete(args: argparse.Namespace) -> int:
     A, G = _load_inputs(args)
     cert = completeness_check(A, G)
-    table = [f"complete: {cert.complete}"]
-    csv_rows = [["eigenvalue_re", "eigenvalue_im", "indices", "required", "achieved"]]
-    for grp in cert.groups:
-        table.append(
-            f"  eigenvalue {grp.value:.6g}: rank {grp.achieved}/{grp.required} "
-            f"on indices {list(grp.indices)}"
-        )
-        csv_rows.append(
-            [grp.value.real, grp.value.imag, " ".join(map(str, grp.indices)),
-             grp.required, grp.achieved]
-        )
-    _emit(args, table, cert.to_dict(), csv_rows)
+    table = [f"complete: {cert.complete}"] + [
+        f"  eigenvalue {g.value:.6g}: rank {g.achieved}/{g.required} on indices {list(g.indices)}"
+        for g in cert.groups
+    ]
+    columns = ["eigenvalue_re", "eigenvalue_im", "indices", "required", "achieved"]
+    rows = [[g.value.real, g.value.imag, " ".join(map(str, g.indices)), g.required, g.achieved]
+            for g in cert.groups]
+    _emit(args, cert.to_dict(), table, columns, rows)
     return 0 if cert.complete else 2
 
 
@@ -146,24 +136,15 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     A, G = _load_inputs(args)
     energy = bessel_check_fd(A, G)
     constant = bessel_upper_constant(A, args.L)
+    obj = {"bessel": True, "range_energy": energy, "upper_constant": constant,
+           "upper_bound": energy * constant, "L": args.L}
     table = [
         "bessel: True (finite families always are)",
         f"generator energy on range(A): {energy:.12g}",
         f"upper constant over [0, {args.L:g}]: {constant:.12g}",
-        f"upper bound C <= {energy * constant:.12g}",
+        f"upper bound C <= {obj['upper_bound']:.12g}",
     ]
-    obj = {
-        "bessel": True,
-        "range_energy": energy,
-        "upper_constant": constant,
-        "upper_bound": energy * constant,
-        "L": args.L,
-    }
-    csv_rows = [
-        ["bessel", "range_energy", "upper_constant", "upper_bound", "L"],
-        [True, energy, constant, energy * constant, args.L],
-    ]
-    _emit(args, table, obj, csv_rows)
+    _emit(args, obj, table, list(obj))
     return 0
 
 
@@ -179,31 +160,28 @@ def _cmd_carleson(args: argparse.Namespace) -> int:
         "conditions: "
         + ", ".join(f"({k}) {v}" for k, v in report.conditions.items()),
     ]
-    csv_rows = [["index", "separation_product"]]
-    for i, p in enumerate(report.per_index_products):
-        csv_rows.append([i, p])
-    _emit(args, table, report.to_dict(), csv_rows)
+    _emit(args, asdict(report), table, ["index", "separation_product"],
+          enumerate(report.per_index_products))
     return 0 if report.verdict != "not_frameable" else 2
 
 
 def _cmd_discretize(args: argparse.Namespace) -> int:
     A, G = _load_inputs(args)
-    result = find_discretization(
-        A, G, args.L, target_ratio=args.target_ratio, max_points=args.max_points
-    )
+    result = find_discretization(A, G, args.L, target_ratio=args.target_ratio,
+                                 max_points=args.max_points)
     rep = result.report
+    n = len(result.grid)
+    obj = {"n": n, "delta_used": result.delta_used, "max_gap": result.grid.max_gap,
+           "iterations": result.iterations, "report": rep.to_dict()}
     table = [
-        f"accepted grid: n={len(result.grid)} uniform points on [0, {args.L:g})",
+        f"accepted grid: n={n} uniform points on [0, {args.L:g})",
         f"delta_used: {result.delta_used:.12g}",
         f"iterations: {result.iterations}",
         f"unweighted bounds: [{rep.lower:.12g}, {rep.upper:.12g}] ({rep.classification})",
         f"condition_number: {rep.condition_number:.12g}",
     ]
-    csv_rows = [
-        ["n", "lower", "upper", "condition_number"],
-        [len(result.grid), rep.lower, rep.upper, rep.condition_number],
-    ]
-    _emit(args, table, discretization_to_dict(result), csv_rows)
+    _emit(args, obj, table, ["n", "lower", "upper", "condition_number"],
+          [[n, rep.lower, rep.upper, rep.condition_number]])
     return 0
 
 
@@ -215,16 +193,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     grid = TimeGrid(times, args.L)
     report, analytic = verify_discrete_implies_semicont(A, G, grid, args.L)
     table = [
-        f"window bounds: [{report.lower:.12g}, {report.upper:.12g}] "
-        f"({report.classification})",
+        f"window bounds: [{report.lower:.12g}, {report.upper:.12g}] ({report.classification})",
         f"analytic transfer bound: {analytic:.12g}",
     ]
     obj = {"report": report.to_dict(), "analytic_lower": analytic}
-    csv_rows = [
-        ["lower", "upper", "analytic_lower"],
-        [report.lower, report.upper, analytic],
-    ]
-    _emit(args, table, obj, csv_rows)
+    _emit(args, obj, table, ["lower", "upper", "analytic_lower"],
+          [[report.lower, report.upper, analytic]])
     return 0
 
 
@@ -232,22 +206,22 @@ def _cmd_lscan(args: argparse.Namespace) -> int:
     A, G = _load_inputs(args)
     if not args.lengths:
         raise CLIError("lscan needs --Ls as a comma-separated list")
-    lengths = [float(x) for x in args.lengths.split(",")]
-    result = window_scan(A, G, lengths)
-    table = [f"invertible self-adjoint regime: {result.invertible_self_adjoint}"]
-    for L, lo, up, cond, label in zip(
-        result.lengths,
-        result.lower_bounds,
-        result.upper_bounds,
-        result.condition_numbers,
-        result.classifications,
-    ):
-        table.append(
-            f"L={L:<8g} lower={lo:<14.8g} upper={up:<14.8g} "
-            f"cond={cond:<12.6g} {label}"
-        )
-    table.append("errors: none")
-    _emit(args, table, window_scan_to_dict(result), window_scan_to_csv_rows(result))
+    result = window_scan(A, G, [float(x) for x in args.lengths.split(",")])
+    obj = {
+        "L": list(result.lengths),
+        "lower": list(result.lower_bounds),
+        "upper": list(result.upper_bounds),
+        "condition_number": list(result.condition_numbers),
+        "classification": list(result.classifications),
+        "invertible_self_adjoint": result.invertible_self_adjoint,
+    }
+    columns = ["L", "lower", "upper", "condition_number"]
+    rows = list(zip(*(obj[c] for c in columns)))
+    table = [f"invertible self-adjoint regime: {result.invertible_self_adjoint}"] + [
+        f"L={L:<8g} lower={lo:<14.8g} upper={up:<14.8g} cond={cond:<12.6g} {label}"
+        for (L, lo, up, cond), label in zip(rows, result.classifications)
+    ] + ["errors: none"]
+    _emit(args, obj, table, columns, rows)
     return 0
 
 
@@ -265,46 +239,30 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         jitter = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         samples = Samples(samples.values + noise * jitter, samples.times)
     result = reconstruct(A, G, samples, mode=args.mode, L=args.L, truth=truth)
+    obj = {"samples": len(samples), "noise": noise,
+           "solver_iterations": result.solver_iterations, "relative_error": result.residual}
     table = [
         f"samples: {len(samples)} ({len(G)} generators x {n_times} times)",
         f"noise sigma: {noise:g}",
         f"solver iterations: {result.solver_iterations}",
         f"relative error against the true state: {result.residual:.6e}",
     ]
-    obj = {
-        "samples": len(samples),
-        "noise": noise,
-        "solver_iterations": result.solver_iterations,
-        "relative_error": result.residual,
-    }
-    csv_rows = [
-        ["samples", "noise", "solver_iterations", "relative_error"],
-        [len(samples), noise, result.solver_iterations, result.residual],
-    ]
-    _emit(args, table, obj, csv_rows)
+    _emit(args, obj, table, list(obj))
     return 0
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
     if args.list or (args.name is None and not args.all):
+        columns = ["name", "summary", "claim"]
+        entries = [dict(zip(columns, (e.name, e.summary, e.claim))) for e in repro_catalog()]
         table = []
-        for entry in repro_catalog():
-            table.append(f"{entry.name:<16} {entry.summary}")
-            table.append(f"{'':<16} claim: {entry.claim}")
-        obj = {
-            "entries": [
-                {"name": e.name, "summary": e.summary, "claim": e.claim}
-                for e in repro_catalog()
-            ]
-        }
-        csv_rows = [["name", "summary", "claim"]] + [
-            [e.name, e.summary, e.claim] for e in repro_catalog()
-        ]
-        _emit(args, table, obj, csv_rows)
+        for e in entries:
+            table.append(f"{e['name']:<16} {e['summary']}")
+            table.append(f"{'':<16} claim: {e['claim']}")
+        _emit(args, {"entries": entries}, table, columns, [list(e.values()) for e in entries])
         return 0
 
     names = [e.name for e in repro_catalog()] if args.all else [args.name]
-    all_ok = True
     table = []
     results = []
     for nm in names:
@@ -312,13 +270,12 @@ def _cmd_repro(args: argparse.Namespace) -> int:
             ok, lines = run_entry(nm, d=args.truncation, L=args.L)
         except KeyError as exc:
             raise CLIError(str(exc.args[0])) from None
-        all_ok = all_ok and ok
         results.append({"name": nm, "passed": ok, "lines": lines})
         table.append(f"[{'PASS' if ok else 'FAIL'}] {nm}")
         table.extend(f"    {line}" for line in lines)
-    obj = {"entries": results, "all_passed": all_ok}
-    csv_rows = [["name", "passed"]] + [[r["name"], r["passed"]] for r in results]
-    _emit(args, table, obj, csv_rows)
+    all_ok = all(r["passed"] for r in results)
+    rows = [[r["name"], r["passed"]] for r in results]
+    _emit(args, {"entries": results, "all_passed": all_ok}, table, ["name", "passed"], rows)
     return 0 if all_ok else 1
 
 
@@ -409,3 +366,7 @@ def main(argv=None) -> int:
     except (CLIError, DynFramesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

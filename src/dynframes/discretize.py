@@ -32,9 +32,6 @@ __all__ = [
     "find_discretization",
     "verify_discrete_implies_semicont",
     "window_scan",
-    "discretization_to_dict",
-    "window_scan_to_dict",
-    "window_scan_to_csv_rows",
 ]
 
 
@@ -178,36 +175,3 @@ def window_scan(A: SpectralOperator, G: VectorSet, lengths) -> WindowScanResult:
         classifications=tuple(labels),
         invertible_self_adjoint=flag,
     )
-
-
-def discretization_to_dict(result: DiscretizationResult) -> dict:
-    return {
-        "n": len(result.grid),
-        "delta_used": result.delta_used,
-        "max_gap": result.grid.max_gap,
-        "iterations": result.iterations,
-        "report": result.report.to_dict(),
-    }
-
-
-def window_scan_to_dict(result: WindowScanResult) -> dict:
-    return {
-        "L": list(result.lengths),
-        "lower": list(result.lower_bounds),
-        "upper": list(result.upper_bounds),
-        "condition_number": list(result.condition_numbers),
-        "classification": list(result.classifications),
-        "invertible_self_adjoint": result.invertible_self_adjoint,
-    }
-
-
-def window_scan_to_csv_rows(result: WindowScanResult) -> list:
-    rows = [["L", "lower", "upper", "condition_number"]]
-    for L, lo, up, cond in zip(
-        result.lengths,
-        result.lower_bounds,
-        result.upper_bounds,
-        result.condition_numbers,
-    ):
-        rows.append([L, lo, up, cond])
-    return rows

@@ -293,6 +293,9 @@ def test_discretize_command(identity_files, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert code == 0
     assert blob["n"] == 2
+    assert blob["delta_used"] == 0.5
+    assert blob["max_gap"] == 0.5
+    assert blob["iterations"] == 1
     assert blob["report"]["classification"] == "frame"
 
 
@@ -316,6 +319,13 @@ def test_lscan_command(identity_files, capsys):
     assert "errors: none" in out
     assert "invertible self-adjoint regime: True" in out
     assert out.count("frame") == 3
+    code = main(["lscan", "--op", op, "--vectors", vec, "--Ls", "1,2", "--format", "json"])
+    blob = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert blob["L"] == [1.0, 2.0]
+    assert blob["lower"] == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert blob["classification"] == ["frame", "frame"]
+    assert blob["invertible_self_adjoint"] is True
 
 
 def test_lscan_csv(identity_files, capsys):
@@ -324,6 +334,7 @@ def test_lscan_csv(identity_files, capsys):
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[0] == ["L", "lower", "upper", "condition_number"]
     assert len(rows) == 3
+    assert float(rows[1][0]) == 1.0
     assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -458,14 +469,17 @@ def test_repro_list(capsys):
 
 
 def test_module_runs_the_command_line():
-    # python -m dynframes is the console script without an install
+    # python -m dynframes is the console script without an install, and
+    # python -m dynframes.cli the same front end, not a silent exit 0
     env = {**os.environ, "PYTHONPATH": str(Path(dynframes.__file__).resolve().parents[1])}
-    run = subprocess.run(
-        [sys.executable, "-m", "dynframes", "repro", "--list", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    names = [e["name"] for e in json.loads(run.stdout)["entries"]]
-    assert names == [entry.name for entry in repro_catalog()]
+    for module in ("dynframes", "dynframes.cli"):
+        run = subprocess.run(
+            [sys.executable, "-m", module, "repro", "--list", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        names = [e["name"] for e in json.loads(run.stdout)["entries"]]
+        assert names == [entry.name for entry in repro_catalog()]
 
 
 def test_repro_unknown_name(capsys):

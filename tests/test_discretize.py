@@ -10,9 +10,6 @@ from dynframes.discretize import (
     find_discretization,
     verify_discrete_implies_semicont,
     window_scan,
-    discretization_to_dict,
-    window_scan_to_csv_rows,
-    window_scan_to_dict,
 )
 from dynframes.errors import (
     DiscreteNotFrame,
@@ -237,31 +234,3 @@ def test_window_scan_input_validation():
         window_scan(A, G, [0.0, 1.0])
     with pytest.raises(ValueError):
         window_scan(A, G, [1.0, 0.5])
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_discretization_to_dict_shape():
-    A = SpectralOperator(np.ones(2))
-    G = VectorSet(np.eye(2))
-    d = discretization_to_dict(find_discretization(A, G, 1.0, 0.9))
-    assert d["n"] == 2
-    assert d["delta_used"] == 0.5
-    assert d["iterations"] == 1
-    assert d["report"]["classification"] == FRAME
-
-
-def test_window_scan_serialization():
-    A = SpectralOperator(np.ones(2))
-    G = VectorSet(np.eye(2))
-    scan = window_scan(A, G, [1.0, 2.0])
-    blob = window_scan_to_dict(scan)
-    assert blob["L"] == [1.0, 2.0]
-    assert blob["classification"] == [FRAME, FRAME]
-    assert blob["invertible_self_adjoint"] is True
-    rows = window_scan_to_csv_rows(scan)
-    assert rows[0] == ["L", "lower", "upper", "condition_number"]
-    assert len(rows) == 3
-    assert rows[1][0] == 1.0

@@ -333,18 +333,26 @@ def test_to_eigenbasis_rejects_non_finite_vectors():
                     A.to_eigenbasis(v)
 
 
+def _one_zero_column(v):
+    """v with its second column zeroed, so a gather would copy all but one row."""
+    v = v.copy()
+    v[..., 1] = 0.0
+    return v
+
+
 def test_to_eigenbasis_does_not_copy_the_basis():
     rng = np.random.default_rng(19)
     d = 512
     A = SpectralOperator(np.arange(d, dtype=complex), random_unitary(rng, d))
     v = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
-    tracemalloc.start()
-    try:
-        A.to_eigenbasis(v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < A.eigenbasis.nbytes / 4
+    for vecs in (v, _one_zero_column(v[0])):
+        tracemalloc.start()
+        try:
+            A.to_eigenbasis(vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.eigenbasis.nbytes / 4
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 64, 200])
@@ -424,10 +432,11 @@ def test_real_basis_products_do_not_copy_the_basis():
     d = 512
     A = SpectralOperator(np.arange(d, dtype=float), np.linalg.qr(rng.normal(size=(d, d)))[0])
     v = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
-    for product in (A.to_eigenbasis, A.from_eigenbasis):
+    for product, vecs in ((A.to_eigenbasis, v), (A.from_eigenbasis, v),
+                          (A.to_eigenbasis, _one_zero_column(v[0]))):
         tracemalloc.start()
         try:
-            product(v)
+            product(vecs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -473,7 +482,10 @@ def test_to_eigenbasis_multiplies_only_the_support(real):
     sparse = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
     sparse[rng.random((3, d)) < 0.7] = 0.0
     sparse[:, 40:60] = 0.0
-    for v in (sparse, sparse.real, sparse[1], 1j * sparse.imag):
+    # nonzero in at most a quarter of the columns, so gathered
+    narrow = sparse.copy()
+    narrow[:, d // 4:] = 0.0
+    for v in (sparse, sparse.real, sparse[1], 1j * sparse.imag, narrow, narrow[0]):
         got = A.to_eigenbasis(v)
         assert got.shape == np.shape(v)
         _assert_within_complex_gemm_bound(got, _full_product(v, U), v, U)

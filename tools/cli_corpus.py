@@ -2,11 +2,21 @@
 
     python tools/cli_corpus.py [--base REV] [--head REV]
 
-The corpus runs every file command (analyze, complete, bessel, carleson,
-discretize, verify, lscan, reconstruct) in table, JSON and CSV format on
-README's example files and on heat-kernel cycles (d = 16 and 512, with
-one-hot, sparse and dense generators), a few input errors, and ``repro``.
-Each run records its exit code, standard output and standard error.
+The corpus runs:
+
+- every file command (analyze, complete, bessel, carleson, discretize,
+  verify, lscan, reconstruct) in table, JSON and CSV format on README's
+  example files and on heat-kernel cycles (d = 16 and 512, with one-hot,
+  sparse and dense generators);
+- ``analyze --method quadrature`` in each format;
+- ``analyze``, ``complete`` and ``lscan`` with ``--out FILE`` in each
+  format, and ``--out`` into a directory that does not exist;
+- ``repro --list``, ``repro --all`` and ``repro example-5.5`` in each
+  format, and an unknown entry name;
+- a few input errors.
+
+Each run records its exit code, standard output and standard error, and the
+file that ``--out`` wrote.
 
 ``--base`` defaults to HEAD and ``--head`` to the working tree. A revision
 is extracted with ``git archive`` into a temporary directory, so nothing in
@@ -40,6 +50,9 @@ COMMANDS = (
     ("lscan", "--Ls", "0.5,1,2"),
     ("reconstruct", "--L", "1", "--times", "32", "--noise", "1e-6"),
 )
+# the commands also run with --out, one per kind of CSV: one row from the
+# payload, rows of their own, rows zipped from the payload's lists
+OUT_COMMANDS = ("analyze", "complete", "lscan")
 HEAT_SIZES = (16, 512)
 # README's documented file examples, byte for byte
 README_FILES = {
@@ -79,18 +92,24 @@ def corpus() -> list:
                 argv = [*command, "--op", op, "--vectors", vectors, "--format", fmt]
                 runs.append((f"{command[0]} {system} {fmt}", argv, {}))
     readme = ["--op", "readme-op.json", "--vectors", "readme-vectors.json"]
+    quadrature = ["analyze", *readme, "--L", "1", "--method", "quadrature", "--panels", "64"]
+    for fmt in FORMATS:
+        runs.append((f"analyze readme quadrature {fmt}", [*quadrature, "--format", fmt], {}))
+        for command in (c for c in COMMANDS if c[0] in OUT_COMMANDS):
+            argv = [*command, *readme, "--format", fmt, "--out", f"out.{fmt}"]
+            runs.append((f"{command[0]} readme {fmt} --out", argv, {}))
+        for entry in ("--list", "--all", "example-5.5"):
+            runs.append((f"repro {entry} {fmt}", ["repro", entry, "--format", fmt], {}))
     runs += [
         ("analyze readme --L inf", ["analyze", *readme, "--L", "inf"], {}),
-        ("analyze readme quadrature", ["analyze", *readme, "--L", "1", "--method", "quadrature",
-                                       "--panels", "64"], {}),
+        ("analyze readme --out missing directory",
+         ["analyze", *readme, "--L", "1", "--out", "missing/out.txt"], {}),
         ("complete readme DYNSAMP_TOL=inf", ["complete", *readme], {"DYNSAMP_TOL": "inf"}),
         ("complete readme DYNSAMP_TOL=1e-6", ["complete", *readme], {"DYNSAMP_TOL": "1e-6"}),
         ("complete missing op file", ["complete", "--op", "missing.json",
                                       "--vectors", "readme-vectors.json"], {}),
         ("reconstruct readme --noise -1", ["reconstruct", *readme, "--L", "1", "--noise", "-1"], {}),
-        ("repro --list", ["repro", "--list"], {}),
-        ("repro --all", ["repro", "--all"], {}),
-        ("repro --all json", ["repro", "--all", "--format", "json"], {}),
+        ("repro unknown entry", ["repro", "example-nope"], {}),
     ]
     return runs
 
@@ -104,10 +123,18 @@ def extract(rev: str, into: Path) -> Path:
 
 
 def run(src: Path, workdir: Path, argv: list, extra: dict) -> tuple:
+    """(exit code, stdout, stderr, text of the ``--out`` file or None)."""
     env = {**os.environ, **ONE_THREAD, **extra, "PYTHONPATH": str(src)}
+    out = workdir / argv[argv.index("--out") + 1] if "--out" in argv else None
+    if out is not None:
+        out.unlink(missing_ok=True)
     done = subprocess.run([sys.executable, "-m", "dynframes", *argv], cwd=workdir, env=env,
                           capture_output=True, text=True)
-    return done.returncode, done.stdout, done.stderr
+    written = None
+    if out is not None and out.exists():
+        written = out.read_text(encoding="utf-8")
+        out.unlink()
+    return done.returncode, done.stdout, done.stderr, written
 
 
 def write_inputs(src: Path, workdir: Path) -> None:
@@ -122,7 +149,10 @@ def describe(name: str, base: tuple, head: tuple) -> list:
     lines = [f"DIFFERS  {name}"]
     if base[0] != head[0]:
         lines.append(f"  exit code {base[0]} -> {head[0]}")
-    for label, a, b in (("stdout", base[1], head[1]), ("stderr", base[2], head[2])):
+    if (base[3] is None) != (head[3] is None):
+        lines.append(f"  out file {'written' if base[3] is None else 'not written'} by head")
+    for label, a, b in (("stdout", base[1], head[1]), ("stderr", base[2], head[2]),
+                        ("out file", base[3] or "", head[3] or "")):
         if a != b:
             diff = difflib.unified_diff(a.splitlines(), b.splitlines(), "base", "head", n=0,
                                         lineterm="")
