@@ -167,6 +167,8 @@ def _cmd_carleson(args: argparse.Namespace) -> int:
 
 def _cmd_discretize(args: argparse.Namespace) -> int:
     A, G = _load_inputs(args)
+    if args.max_points < 2:
+        raise CLIError(f"--max-points must be at least 2, got {args.max_points}")
     result = find_discretization(A, G, args.L, target_ratio=args.target_ratio,
                                  max_points=args.max_points)
     rep = result.report

@@ -6,6 +6,14 @@ semi-continuous one. ``verify_discrete_implies_semicont`` goes the other
 way: given a discrete frame over T and an invertible operator, it certifies
 a semi-continuous lower bound over [0, L] with an explicit analytic
 constant.
+
+The search doubles n from 2, and its grids are nested: L / n is an exact
+scaling of L, so grid 2n is grid n, bit for bit, plus n midpoints. It keeps
+the power rows of the current grid and evaluates the powers at the new
+midpoints only, so a search that accepts n points evaluates n rows in all.
+One power sum Q per doubling gives both the weighted Gram (every left-rule
+weight is L / n) and the accepted grid's plain Gram, which is the array
+``discrete_gram`` builds on that grid.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from .errors import (
     NotInvertible,
 )
 from .analysis import FRAME, FrameReport, frame_bounds
-from .gram import TimeGrid, discrete_gram, semicont_gram
-from .spectral import SpectralOperator, VectorSet, pair_integral
+from .gram import Gram, TimeGrid, _hat_weight_matrix, _power_sum, discrete_gram, semicont_gram
+from .spectral import SpectralOperator, VectorSet, _power_profile, pair_integral
 
 __all__ = [
     "DiscretizationResult",
@@ -92,14 +100,24 @@ def find_discretization(
     n = 2
     iterations = 0
     last = -math.inf
+    if n <= max_points:
+        W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
+        M = _power_profile(A.eigenvalues, [0.0])  # the t = 0 row of every grid
     while n <= max_points:
-        grid = TimeGrid.uniform(n, L)
-        weighted = frame_bounds(discrete_gram(A, G, grid, weights="riemann"))
+        # (2j) (L / n) == j (L / (n / 2)) exactly, so only the odd rows are new
+        h = float(L) / n
+        grown = np.empty((n, M.shape[1]), dtype=np.complex128)
+        grown[0::2] = M
+        grown[1::2] = _power_profile(A.eigenvalues, np.arange(1, n, 2) * h)
+        M = grown
+        Q = _power_sum(M)
+        # every left-rule weight of a uniform grid is h
+        weighted = frame_bounds(Gram(W * (h * Q), "discrete", A.eigenbasis))
         iterations += 1
         last = weighted.lower
         if weighted.lower >= target:
-            plain = frame_bounds(discrete_gram(A, G, grid))
-            return DiscretizationResult(grid, plain, L / n, iterations)
+            plain = frame_bounds(Gram(W * Q, "discrete", A.eigenbasis))
+            return DiscretizationResult(TimeGrid.uniform(n, L), plain, h, iterations)
         n *= 2
     raise NoConvergence(
         f"no uniform grid up to {max_points} points reached "

@@ -148,10 +148,8 @@ def _hat_weight_matrix(ghat: np.ndarray) -> np.ndarray:
     return ghat.T @ np.conj(ghat)
 
 
-def _sampled_gram_hat(
-    ghat: np.ndarray, M: np.ndarray, w: Optional[np.ndarray]
-) -> np.ndarray:
-    """Eigen-coordinate Gram of sampled orbits: (ghat^T conj ghat) * ((w M)^T conj M).
+def _power_sum(M: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sampled pair sums (w M)^T conj M.
 
     Row i of M holds the powers of every eigenvalue at the i-th time; w
     weights the times (None for plain sums). Raises DomainError when the
@@ -159,7 +157,14 @@ def _sampled_gram_hat(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         P = (M if w is None else w[:, None] * M).T @ np.conj(M)
-    return _hat_weight_matrix(ghat) * _require_finite(P, "sampled power sum")
+    return _require_finite(P, "sampled power sum")
+
+
+def _sampled_gram_hat(
+    ghat: np.ndarray, M: np.ndarray, w: Optional[np.ndarray]
+) -> np.ndarray:
+    """Eigen-coordinate Gram of sampled orbits: (ghat^T conj ghat) * ((w M)^T conj M)."""
+    return _hat_weight_matrix(ghat) * _power_sum(M, w)
 
 
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> Gram:

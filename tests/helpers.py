@@ -1,15 +1,17 @@
 """Shared random-system builders and oracles.
 
-The oracles: dense operators, quadrature, eigen, grouping, rank and JSON documents.
+The oracles: dense operators, quadrature, eigen, grouping, rank, the grid
+search and JSON documents.
 """
 
 import math
 
 import numpy as np
 
-from dynframes.analysis import CompletenessCertificate, GroupRank
-from dynframes.errors import DimensionMismatch, NoConvergence
-from dynframes.gram import _check_hermitian
+from dynframes.analysis import FRAME, CompletenessCertificate, GroupRank, frame_bounds
+from dynframes.discretize import DiscretizationResult
+from dynframes.errors import DimensionMismatch, NoConvergence, NotAFrame
+from dynframes.gram import TimeGrid, _check_hermitian, discrete_gram, semicont_gram
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
@@ -316,3 +318,41 @@ def jacobi_eigh(
     w = A.diagonal().real.copy()
     order = np.argsort(w, kind="stable")
     return w[order], (V[:, order] if want_vectors else None)
+
+
+def find_discretization_reference(A, G, L, target_ratio, max_points=1 << 20, path=None):
+    """The doubling grid search with every grid built afresh: the search oracle.
+
+    Each doubling builds ``TimeGrid.uniform(n, L)`` and its Riemann-weighted
+    ``discrete_gram``, and the accepted grid's plain Gram is built once more
+    for the report, as ``find_discretization`` does on nested grids. When
+    ``path`` is a list, each doubling appends (weighted lower bound, target).
+    """
+    target_ratio = float(target_ratio)
+    if not 0.0 < target_ratio < 1.0:
+        raise ValueError("target_ratio must lie strictly between 0 and 1")
+    sc = frame_bounds(semicont_gram(A, G, L))
+    if sc.classification != FRAME:
+        raise NotAFrame(
+            f"semi-continuous lower bound {sc.lower:.3e} is below tolerance"
+        )
+    target = target_ratio * sc.lower
+
+    n = 2
+    iterations = 0
+    last = -math.inf
+    while n <= max_points:
+        grid = TimeGrid.uniform(n, L)
+        weighted = frame_bounds(discrete_gram(A, G, grid, weights="riemann"))
+        iterations += 1
+        last = weighted.lower
+        if path is not None:
+            path.append((weighted.lower, target))
+        if weighted.lower >= target:
+            plain = frame_bounds(discrete_gram(A, G, grid))
+            return DiscretizationResult(grid, plain, L / n, iterations)
+        n *= 2
+    raise NoConvergence(
+        f"no uniform grid up to {max_points} points reached "
+        f"{target_ratio} of the continuous lower bound (last {last:.3e})"
+    )

@@ -299,6 +299,17 @@ def test_discretize_command(identity_files, capsys):
     assert blob["report"]["classification"] == "frame"
 
 
+@pytest.mark.parametrize("points", ["1", "0", "-4"])
+def test_discretize_rejects_max_points_below_two(identity_files, capsys, points):
+    op, vec = identity_files
+    code = main(["discretize", "--op", op, "--vectors", vec, "--L", "1",
+                 "--max-points", points])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --max-points must be at least 2, got {points}\n"
+
+
 def test_verify_command(identity_files, capsys):
     op, vec = identity_files
     code = main(

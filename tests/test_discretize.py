@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import dynframes.discretize
+import dynframes.gram
 from dynframes.analysis import FRAME, INCOMPLETE, FrameReport, frame_bounds
 from dynframes.catalog import gap_pair_system, shifted_pair_system
 from dynframes.discretize import (
@@ -19,8 +23,14 @@ from dynframes.errors import (
     NotInvertible,
 )
 from dynframes.gram import TimeGrid, discrete_gram, semicont_gram
-from dynframes.spectral import SpectralOperator, VectorSet
-from helpers import random_normal_operator, random_self_adjoint_operator, random_vectors
+from dynframes.spectral import SpectralOperator, VectorSet, _power_profile
+from helpers import (
+    find_discretization_reference,
+    random_normal_operator,
+    random_self_adjoint_operator,
+    random_unitary,
+    random_vectors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +118,98 @@ def test_discretization_result_gap_invariant():
         condition_number=math.inf,
     )
     DiscretizationResult(grid, loose_rep, 0.5, 1)
+
+
+def test_find_discretization_evaluates_each_grid_time_once(monkeypatch):
+    # grid 2n is grid n plus its midpoints, so one search evaluates the powers
+    # at each accepted time once, and none before its first grid
+    rows = []
+
+    def counting_profile(eigenvalues, times):
+        rows.append(len(times))
+        return _power_profile(eigenvalues, times)
+
+    for module in (dynframes.gram, dynframes.discretize):
+        monkeypatch.setattr(module, "_power_profile", counting_profile, raising=False)
+    # 8 unit-circle rotations in a random basis, one random generator
+    rng = np.random.default_rng(0)
+    A = SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8), random_unitary(rng, 8))
+    G = random_vectors(rng, 1, 8)
+    result = find_discretization(A, G, 64.0, 0.9)
+    assert result.iterations >= 6
+    assert sum(rows) == len(result.grid)
+    rows.clear()
+    with pytest.raises(NoConvergence, match=r"\(last -inf\)"):
+        find_discretization(A, G, 64.0, 0.9, max_points=1)
+    assert rows == []
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except (NoConvergence, NotAFrame, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+# a draw whose search accepts only at n = 128
+_DEEP_RADII = [0.9859, 1.0142, 0.9986, 1.0146, 0.9862, 1.0155]
+_DEEP_JITTER = [-0.046, 0.1745, -0.0988, 0.0935, -0.1836, 0.099]
+
+
+@settings(max_examples=300)
+@example(d=6, radii=_DEEP_RADII, jitter=_DEEP_JITTER, edge=None, with_basis=True,
+         generators=1, seed=916, window="1", ratio=0.99, max_points=1 << 20)
+@example(d=6, radii=_DEEP_RADII, jitter=_DEEP_JITTER, edge=None, with_basis=True,
+         generators=1, seed=916, window="1", ratio=0.99, max_points=48)
+@example(d=6, radii=[1.02, 0.98] * 3, jitter=[0.01, -0.02] * 3, edge="minus_one",
+         with_basis=True, generators=2, seed=1, window="2d", ratio=0.99, max_points=1 << 20)
+@example(d=5, radii=[0.99] * 6, jitter=[0.0] * 6, edge="near_tie", with_basis=False,
+         generators=3, seed=2, window="2d", ratio=0.9, max_points=1 << 20)
+@given(
+    d=st.integers(1, 6),
+    radii=st.lists(st.floats(0.98, 1.02), min_size=6, max_size=6),
+    jitter=st.lists(st.floats(-0.2, 0.2), min_size=6, max_size=6),
+    edge=st.sampled_from([None, "zero", "minus_one", "near_tie"]),
+    with_basis=st.booleans(),
+    generators=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    window=st.sampled_from(["1", "8", "2d"]),
+    ratio=st.sampled_from([0.5, 0.9, 0.99]),
+    max_points=st.sampled_from([0, 1, 3, 48, 1 << 20]),
+)
+def test_nested_grid_search_matches_fresh_grids(d, radii, jitter, edge, with_basis,
+                                                generators, seed, window, ratio,
+                                                max_points):
+    # rotations by about 2 pi k / d, just off the unit circle
+    angles = 2.0 * np.pi * np.arange(d) / d + np.array(jitter[:d])
+    lam = np.array(radii[:d]) * np.exp(1j * angles)
+    if edge == "zero":
+        lam[0] = 0.0  # 0^t is 1 at t = 0 and 0 after
+    elif edge == "minus_one":
+        lam[0] = -1.0  # on the branch cut
+    elif edge == "near_tie" and d > 1:
+        lam[1] = lam[0] + 1e-9
+    rng = np.random.default_rng(seed)
+    A = SpectralOperator(lam, random_unitary(rng, d) if with_basis else None)
+    G = random_vectors(rng, generators, d)
+    L = 2.0 * d if window == "2d" else float(window)
+
+    path = []
+    expected = _outcome(find_discretization_reference, A, G, L, ratio, max_points, path)
+    # the reference weighs each time by its own Riemann panel, the search by the
+    # scalar L / n; the two may round apart in the last bits, which can flip the
+    # acceptance only when a weighted lower bound lies at the target itself
+    assume(all(abs(lower - target) > 1e-12 * target for lower, target in path))
+    got = _outcome(find_discretization, A, G, L, ratio, max_points)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, DiscretizationResult)
+    assert got.grid.times.tobytes() == expected.grid.times.tobytes()
+    assert got.grid.L == expected.grid.L
+    assert got.iterations == expected.iterations
+    assert got.delta_used == expected.delta_used
+    assert got.report == expected.report
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ The corpus runs:
   format, and ``--out`` into a directory that does not exist;
 - ``repro --list``, ``repro --all`` and ``repro example-5.5`` in each
   format, and an unknown entry name;
+- deep grid searches: ``discretize`` on 8 unit-circle rotations in a random
+  basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
+  0.99 in each format (6 doublings), once with ``--max-points 48``,
+  which ends in ``NoConvergence``, and once with ``--max-points 1``;
 - a few input errors.
 
 Each run records its exit code, standard output and standard error, and the
@@ -59,7 +63,7 @@ README_FILES = {
     "readme-op.json": '{"eigenvalues": [[1.0, 0.0], [0.5, 0.0]], "eigenbasis": null}\n',
     "readme-vectors.json": '{"vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}\n',
 }
-WRITE_HEAT_FILES = """
+WRITE_GENERATED_FILES = """
 import sys
 import numpy as np
 import dynframes as D
@@ -74,6 +78,11 @@ for d in map(int, sys.argv[1:]):
     sparse = np.zeros((2, d), dtype=complex)
     sparse[:, rng.choice(d, 4, replace=False)] = dense[:, :4]
     D.save_vectors(D.VectorSet(sparse), f"heat{d}-sparse.json")
+rng = np.random.default_rng(8)
+q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+D.save_operator(D.SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8), q), "rot8.json")
+D.save_vectors(D.VectorSet(rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8))),
+               "rot8-vectors.json")
 """
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
@@ -92,6 +101,8 @@ def corpus() -> list:
                 argv = [*command, "--op", op, "--vectors", vectors, "--format", fmt]
                 runs.append((f"{command[0]} {system} {fmt}", argv, {}))
     readme = ["--op", "readme-op.json", "--vectors", "readme-vectors.json"]
+    rotations = ["discretize", "--op", "rot8.json", "--vectors", "rot8-vectors.json",
+                 "--L", "64"]
     quadrature = ["analyze", *readme, "--L", "1", "--method", "quadrature", "--panels", "64"]
     for fmt in FORMATS:
         runs.append((f"analyze readme quadrature {fmt}", [*quadrature, "--format", fmt], {}))
@@ -100,6 +111,9 @@ def corpus() -> list:
             runs.append((f"{command[0]} readme {fmt} --out", argv, {}))
         for entry in ("--list", "--all", "example-5.5"):
             runs.append((f"repro {entry} {fmt}", ["repro", entry, "--format", fmt], {}))
+        for ratio in ("0.9", "0.99"):
+            argv = [*rotations, "--target-ratio", ratio, "--format", fmt]
+            runs.append((f"discretize rot8 --target-ratio {ratio} {fmt}", argv, {}))
     runs += [
         ("analyze readme --L inf", ["analyze", *readme, "--L", "inf"], {}),
         ("analyze readme --out missing directory",
@@ -110,6 +124,9 @@ def corpus() -> list:
                                       "--vectors", "readme-vectors.json"], {}),
         ("reconstruct readme --noise -1", ["reconstruct", *readme, "--L", "1", "--noise", "-1"], {}),
         ("repro unknown entry", ["repro", "example-nope"], {}),
+        ("discretize rot8 --max-points 48",
+         [*rotations, "--target-ratio", "0.9", "--max-points", "48"], {}),
+        ("discretize rot8 --max-points 1", [*rotations, "--max-points", "1"], {}),
     ]
     return runs
 
@@ -141,7 +158,7 @@ def write_inputs(src: Path, workdir: Path) -> None:
     for name, text in README_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
-    subprocess.run([sys.executable, "-c", WRITE_HEAT_FILES, *map(str, HEAT_SIZES)],
+    subprocess.run([sys.executable, "-c", WRITE_GENERATED_FILES, *map(str, HEAT_SIZES)],
                    cwd=workdir, env=env, check=True)
 
 
