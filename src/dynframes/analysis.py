@@ -20,6 +20,7 @@ from .spectral import (
     VectorSet,
     _principal_log,
     _window_integral,
+    _window_length,
     apply_power_batch,
     group_eigenspaces,
     pair_integral,
@@ -193,10 +194,11 @@ def brute_force_completeness(
     grid_points >= dimension * |G| so the column count cannot be the binding
     constraint.
     """
+    L = _window_length(L)
     d, m = A.dimension, len(G)
     if grid_points < d * m:
         raise ValueError(f"grid_points must be at least d*|G| = {d * m}")
-    times = np.linspace(0.0, float(L), int(grid_points))
+    times = np.linspace(0.0, L, int(grid_points))
     blocks = [apply_power_batch(A, times, g).T for g in G]
     return int(_svd_rank(np.hstack(blocks))) == d
 
@@ -226,9 +228,7 @@ def multiplier_bounds(A: SpectralOperator, L: float) -> tuple:
     the modulus of the averaging multiplier on every eigenvalue. Raises
     DomainError unless L is positive and finite.
     """
-    L = float(L)
-    if not 0.0 < L < math.inf:
-        raise DomainError("interval length must be positive and finite")
+    L = _window_length(L)
     vals = np.abs(_window_integral(_principal_log(A.eigenvalues), min(L, 0.5)))
     return float(vals.min()), float(vals.max())
 

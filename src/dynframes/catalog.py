@@ -89,6 +89,11 @@ def gaussian_decay_system(d: int):
     return A, G, f
 
 
+def _reciprocal_decay_entry(k: int, L: float) -> float:
+    """Closed form of the k-th diagonal Gram entry of diag(1/j): (1 - k^(-2L)) / (2 ln k)."""
+    return (1.0 - k ** (-2.0 * L)) / (2.0 * math.log(k))
+
+
 # ---------------------------------------------------------------------------
 # entry runners
 
@@ -179,11 +184,8 @@ def _run_5_2(d: int, L: Optional[float]):
         "decaying spectra, so small n already captures the target fraction",
     ]
     ok = result.report.classification == FRAME
-    decay = []
-    for dd in dict.fromkeys((8, 16, 32, 64, d)):
-        if dd <= d:
-            lo = (1.0 - dd ** (-2.0 * L)) / (2.0 * math.log(dd)) if dd > 1 else L
-            decay.append((dd, lo))
+    decay = [(dd, _reciprocal_decay_entry(dd, L))
+             for dd in dict.fromkeys((8, 16, 32, 64, d)) if dd <= d]
     lines.append(
         "continuous lower bound decays with dimension: "
         + ", ".join(f"d={dd}: {lo:.5f}" for dd, lo in decay)
@@ -200,17 +202,14 @@ def _run_5_3(d: int, L: Optional[float]):
     lines = [f"diagonal Gram entries at d={d}, L={L:g} against the closed form:"]
     ok = True
     ks = [k for k in (2, 4, 8, 16, 32, 64) if k <= d]
+    closed = [_reciprocal_decay_entry(k, L) for k in ks]
     final = None
-    for k in ks:
-        closed = (1.0 - k ** (-2.0 * L)) / (2.0 * math.log(k))
+    for k, entry in zip(ks, closed):
         computed = float(S[k - 1, k - 1].real)
-        ok = ok and abs(computed - closed) <= 1e-12
+        ok = ok and abs(computed - entry) <= 1e-12
         final = computed
-        lines.append(f"  k={k:<3} computed {computed:.10f}  closed {closed:.10f}")
-    mins = []
-    for dd in ks:
-        mins.append((1.0 - dd ** (-2.0 * L)) / (2.0 * math.log(dd)))
-    ok = ok and all(b < a for a, b in zip(mins, mins[1:]))
+        lines.append(f"  k={k:<3} computed {computed:.10f}  closed {entry:.10f}")
+    ok = ok and all(b < a for a, b in zip(closed, closed[1:]))
     lines.append(f"final row value {final:.4f}; the minimum keeps falling with d")
     lines.append("tail: entries decay like 1/(2 ln k), so no positive lower bound survives")
     return ok, lines

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .analysis import FRAME, FrameReport, frame_bounds
 from .gram import Gram, TimeGrid, _hat_weight_matrix, _power_sum, discrete_gram, semicont_gram
-from .spectral import SpectralOperator, VectorSet, _power_profile, pair_integral
+from .spectral import SpectralOperator, VectorSet, _power_profile, _window_length, pair_integral
 
 __all__ = [
     "DiscretizationResult",
@@ -137,9 +137,7 @@ def verify_discrete_implies_semicont(
     that analytic constant). Raises NotInvertible or DiscreteNotFrame when
     the hypotheses fail.
     """
-    L = float(L)
-    if not L > 0:
-        raise DomainError("interval length must be positive")
+    L = _window_length(L)
     if T.L > L:
         raise DomainError("grid interval extends past the requested window")
     if not A.is_invertible:
@@ -169,11 +167,9 @@ def window_scan(A: SpectralOperator, G: VectorSet, lengths) -> WindowScanResult:
     verdict. The ``invertible_self_adjoint`` flag marks the regime where the
     windows must agree (all frames or none).
     """
-    Ls = [float(x) for x in lengths]
+    Ls = [_window_length(x) for x in lengths]
     if not Ls:
         raise ValueError("need at least one window length")
-    if any(not x > 0 for x in Ls):
-        raise DomainError("window lengths must be positive")
     if any(b <= a for a, b in zip(Ls, Ls[1:])):
         raise ValueError("window lengths must be strictly increasing")
 

@@ -27,6 +27,7 @@ from .spectral import (
     VectorSet,
     _power_profile,
     _require_finite,
+    _window_length,
     apply_power_batch,
     pair_integral_matrix,
 )
@@ -72,11 +73,9 @@ class TimeGrid:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64).reshape(-1)
-        L = float(self.L)
         if t.size == 0:
             raise ValueError("a time grid needs at least one point")
-        if not math.isfinite(L) or L <= 0:
-            raise DomainError("interval length must be positive and finite")
+        L = _window_length(self.L)
         if t[0] != 0.0:
             raise ValueError("time grids must start at t = 0")
         if t.size > 1 and not np.all(np.diff(t) > 0):
@@ -93,7 +92,8 @@ class TimeGrid:
         n = int(n)
         if n < 1:
             raise ValueError("uniform grid needs n >= 1 points")
-        return cls(np.arange(n) * (float(L) / n), L)
+        L = _window_length(L)
+        return cls(np.arange(n) * (L / n), L)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -127,10 +127,6 @@ class Gram:
         object.__setattr__(self, "hat", S)
         if self.eigenbasis is not None and np.shape(self.eigenbasis) != S.shape:
             raise DimensionMismatch("eigenbasis must match the gram's dimension")
-
-    @property
-    def dimension(self) -> int:
-        return int(self.hat.shape[0])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -219,9 +215,7 @@ def quadrature_gram(
     it is an independent check of ``semicont_gram``. ``panels`` must be even
     and at least 2.
     """
-    L = float(L)
-    if not L > 0:
-        raise DomainError("interval length must be positive")
+    L = _window_length(L)
     panels = int(panels)
     if panels < 2 or panels % 2 != 0:
         raise ValueError("panels must be an even count >= 2")

@@ -71,6 +71,8 @@ class Samples(Sequence):
         times = np.array(times, dtype=np.float64)
         if values.ndim != 2 or times.shape != values.shape[1:]:
             raise ValueError("samples need an m x n value array and n times")
+        if not np.isfinite(times).all():
+            raise ValueError("sample times must be finite")
         values.setflags(write=False)
         times.setflags(write=False)
         self.values, self.times = values, times
@@ -154,8 +156,10 @@ def reconstruct(
 
     ``samples`` is what ``sample`` returns, or any sequence of records that
     covers the full generator-by-time product set, once each, in any order.
-    With mode="riemann" the terms are weighted by left-rule panel widths,
-    which needs the window length L. When ``truth`` is supplied the
+    A window length L makes the sample times a ``TimeGrid`` on [0, L], so
+    they must start at 0, increase and stay below L. With mode="riemann"
+    the terms are weighted by that grid's left-rule panel widths, so L is
+    required; unweighted terms need no window. When ``truth`` is supplied the
     reported residual is the relative error against it; otherwise it is the
     relative normal-equation residual.
 
@@ -171,21 +175,19 @@ def reconstruct(
     if not np.isfinite(vals).all():
         raise ValueError("sample values must be finite")
 
+    grid = None if L is None else TimeGrid(times, L)
+    weights = None
     if mode == "riemann":
-        if L is None:
+        if grid is None:
             raise ValueError("riemann weighting needs the window length L")
-        grid = TimeGrid(times, float(L))
         weights = grid.riemann_weights()
-    else:
-        horizon = float(L) if L is not None else float(times[-1]) + 1.0
-        grid = TimeGrid(times, horizon)
-        weights = np.ones(times.size)
+        vals = vals * weights
 
     # analysis family in eigencoordinates: psi_hat = conj(lambda^t) * g_hat
-    profile = np.conj(_power_profile(A.eigenvalues, grid.times))
+    profile = np.conj(_power_profile(A.eigenvalues, times))
     ghat = A.to_eigenbasis(G.vectors)
     S_hat = _sampled_gram_hat(ghat, profile, weights)
-    b_hat = np.sum(ghat * ((vals * weights) @ profile), axis=0)
+    b_hat = np.sum(ghat * (vals @ profile), axis=0)
     report = frame_bounds(S_hat)
     if report.classification != FRAME:
         raise NotAFrame(

@@ -99,6 +99,14 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _window_length(L) -> float:
+    """L as a float; raises DomainError unless 0 < L < inf."""
+    L = float(L)
+    if not 0.0 < L < math.inf:
+        raise DomainError("interval length must be positive and finite")
+    return L
+
+
 def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
     """(e^{L alpha} - 1) / alpha elementwise: the integral of e^{t alpha} over [0, L].
 
@@ -108,9 +116,7 @@ def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
     subnormal z would overflow), and 0 where Re alpha = -inf (a zero
     eigenvalue); raises DomainError when a value overflows.
     """
-    L = float(L)
-    if not 0.0 < L < math.inf:
-        raise DomainError("interval length must be positive and finite")
+    L = _window_length(L)
     with np.errstate(over="ignore", invalid="ignore"):
         z = L * alpha
         tiny = np.abs(z) < np.finfo(np.float64).eps

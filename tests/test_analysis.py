@@ -575,6 +575,13 @@ def test_carleson_failures_and_domain():
     assert dead.verdict == "not_frameable"
     with pytest.raises(DimensionMismatch):
         carleson_check(np.array([0.3, 0.6]), P_norms=[1.0])
+    with pytest.raises(ValueError, match="^need at least one eigenvalue$"):
+        carleson_check([], [])
+    # with no eigenvalue inside the disk there is no scaled projection to bound
+    none_inside = carleson_check(np.array([1.5, 2.5]), P_norms=[1.0, 1.0])
+    assert math.isnan(none_inside.c_v) and math.isnan(none_inside.C_v)
+    assert none_inside.conditions["v"] == "fail"
+    assert none_inside.verdict == "not_frameable"
 
 
 def test_carleson_all_factors_inside_disk_are_contractive():

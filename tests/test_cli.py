@@ -339,6 +339,33 @@ def test_lscan_command(identity_files, capsys):
     assert blob["invertible_self_adjoint"] is True
 
 
+@pytest.mark.parametrize("command, message", [
+    (["verify", "--L", "1", "--times", ""], "verify needs --times as a comma-separated list"),
+    (["lscan", "--Ls", ""], "lscan needs --Ls as a comma-separated list"),
+])
+def test_empty_time_and_length_lists_are_input_errors(identity_files, capsys, command, message):
+    op, vec = identity_files
+    code = main([*command, "--op", op, "--vectors", vec])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--method", "quadrature"],
+    ["reconstruct"],
+])
+def test_infinite_window_is_an_input_error_on_every_route(identity_files, capsys, command):
+    # quadrature nodes and uniform sample times would multiply by inf first
+    op, vec = identity_files
+    code = main([*command, "--op", op, "--vectors", vec, "--L", "inf"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: interval length must be positive and finite\n"
+
+
 def test_lscan_csv(identity_files, capsys):
     op, vec = identity_files
     main(["lscan", "--op", op, "--vectors", vec, "--Ls", "1,2", "--format", "csv"])

@@ -31,6 +31,10 @@ def test_time_grid_validation():
         TimeGrid(np.array([0.0, 2.0]), 2.0)  # strictly below L
     with pytest.raises(DomainError):
         TimeGrid(np.array([0.0]), 0.0)
+    with pytest.raises(ValueError, match="^a time grid needs at least one point$"):
+        TimeGrid(np.array([]), 1.0)
+    with pytest.raises(ValueError, match="^uniform grid needs n >= 1 points$"):
+        TimeGrid.uniform(0, 1.0)
 
 
 def test_time_grid_gaps_and_weights():
@@ -145,6 +149,13 @@ def test_bessel_sum_rejects_a_non_finite_state():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="vectors must be finite"):
             bessel_sum(A, G, 1.0, np.array([1.0, bad, 0.0, 0.0]))
+
+
+def test_bessel_sum_overflow_is_a_domain_error():
+    # the Gram is finite; only the energy of this finite state overflows
+    A, G = gap_pair_system(0.5)
+    with pytest.raises(DomainError, match=r"^energy sum is non-finite \(overflowed powers\)$"):
+        bessel_sum(A, G, 1.0, np.array([1e200, 1e200]))
 
 
 def test_bessel_sum_gaussian_decay_frozen_values():

@@ -123,6 +123,22 @@ def test_non_finite_states_and_samples_are_value_errors():
             reconstruct(A, G, broken)
         with pytest.raises(ValueError, match="truth vector must be finite"):
             reconstruct(A, G, records, truth=np.where(f == 1, bad, f))
+    with pytest.raises(DimensionMismatch, match="^truth vector has the wrong length$"):
+        reconstruct(A, G, records, truth=f[:5])
+
+
+def test_non_finite_sample_times_are_rejected_when_samples_are_built():
+    A = heat_cycle_operator(6, 1.0)
+    G = VectorSet(np.eye(6, dtype=complex)[[0, 2, 3]])
+    records = list(sample(A, G, np.arange(6, dtype=complex), TimeGrid.uniform(4, 1.0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^sample times must be finite$"):
+            Samples(np.ones((1, 2)), [0.0, bad])
+        # a record's time reaches Samples before any grid or power sees it
+        broken = [SampleRecord(r.generator_index, bad if r.time == 0.5 else r.time, r.value)
+                  for r in records]
+        with pytest.raises(ValueError, match="^sample times must be finite$"):
+            reconstruct(A, G, broken)
 
 
 def test_sample_record_validation():
@@ -277,6 +293,22 @@ def test_round_trip_riemann_and_direct_agree():
     direct = np.linalg.lstsq(M, np.array([r.value for r in recs]), rcond=None)[0]
     np.testing.assert_allclose(weighted.estimate, plain.estimate, atol=1e-7)
     np.testing.assert_allclose(direct, plain.estimate, atol=1e-7)
+
+
+def test_only_a_given_window_constrains_the_sample_times():
+    # without L no grid is built, so times need not start at 0; with L the
+    # times must form a grid on [0, L]
+    rng = np.random.default_rng(109)
+    A = random_self_adjoint_operator(rng, 3)
+    G = random_vectors(rng, 2, 3)
+    f = rng.normal(size=3) + 1j * rng.normal(size=3)
+    recs = sample(A, G, f, TimeGrid.uniform(6, 1.5))
+    shifted = Samples(recs.values[:, 1:], recs.times[1:])  # from t = 0.25 on
+    assert reconstruct(A, G, shifted, truth=f).residual <= 1e-8
+    with pytest.raises(ValueError, match="^time grids must start at t = 0$"):
+        reconstruct(A, G, shifted, L=2.0)
+    with pytest.raises(ValueError, match="^all grid times must lie strictly below L$"):
+        reconstruct(A, G, recs, L=0.5)
 
 
 def test_reconstruct_is_linear_in_the_samples():

@@ -8,9 +8,20 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dynframes.analysis import completeness_check, multiplier_bounds
+from dynframes.analysis import (
+    bessel_upper_constant,
+    brute_force_completeness,
+    completeness_check,
+    multiplier_bounds,
+)
+from dynframes.discretize import (
+    find_discretization,
+    verify_discrete_implies_semicont,
+    window_scan,
+)
 from dynframes.errors import DimensionMismatch, DomainError
-from dynframes.reconstruct import heat_cycle_operator
+from dynframes.gram import TimeGrid, bessel_sum, quadrature_gram, semicont_gram
+from dynframes.reconstruct import heat_cycle_operator, reconstruct, sample
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
@@ -230,6 +241,41 @@ def test_power_integral_is_pair_integral_with_one(z, ell):
 
 
 # ---------------------------------------------------------------------------
+# the window-length rule: every entry point that takes a window [0, L]
+
+
+_WINDOW_ENTRY_POINTS = {
+    "pair_integral": lambda A, G, S, L: pair_integral(1.0, 0.5, L),
+    "semicont_gram": lambda A, G, S, L: semicont_gram(A, G, L),
+    "quadrature_gram": lambda A, G, S, L: quadrature_gram(A, G, L),
+    "bessel_sum": lambda A, G, S, L: bessel_sum(A, G, L, np.ones(2)),
+    "bessel_upper_constant": lambda A, G, S, L: bessel_upper_constant(A, L),
+    "multiplier_bounds": lambda A, G, S, L: multiplier_bounds(A, L),
+    "TimeGrid": lambda A, G, S, L: TimeGrid(np.array([0.0]), L),
+    "TimeGrid.uniform": lambda A, G, S, L: TimeGrid.uniform(4, L),
+    "brute_force_completeness": lambda A, G, S, L: brute_force_completeness(A, G, L, 8),
+    "find_discretization": lambda A, G, S, L: find_discretization(A, G, L, 0.5),
+    "verify_discrete_implies_semicont": lambda A, G, S, L: verify_discrete_implies_semicont(
+        A, G, TimeGrid(S.times, 1.0), L),
+    "window_scan": lambda A, G, S, L: window_scan(A, G, [L]),
+    "reconstruct unweighted": lambda A, G, S, L: reconstruct(A, G, S, L=L),
+    "reconstruct riemann": lambda A, G, S, L: reconstruct(A, G, S, mode="riemann", L=L),
+}
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", list(_WINDOW_ENTRY_POINTS))
+def test_every_window_entry_point_rejects_a_bad_length(entry, L):
+    # one rule and one message in every layer; an infinite window never
+    # reaches numpy arithmetic, so no RuntimeWarning is raised first
+    A = SpectralOperator(np.array([1.0, 0.5]))
+    G = VectorSet(np.eye(2))
+    S = sample(A, G, np.array([1.0, -1.0]), TimeGrid(np.array([0.0, 0.5]), 1.0))
+    with pytest.raises(DomainError, match="^interval length must be positive and finite$"):
+        _WINDOW_ENTRY_POINTS[entry](A, G, S, L)
+
+
+# ---------------------------------------------------------------------------
 # operators and powers
 
 
@@ -319,6 +365,8 @@ def test_eigenbasis_round_trip():
     A = random_normal_operator(rng, 6)
     f = rng.normal(size=6) + 1j * rng.normal(size=6)
     np.testing.assert_allclose(A.from_eigenbasis(A.to_eigenbasis(f)), f, atol=1e-12)
+    with pytest.raises(DimensionMismatch, match="^coordinate length 5 does not match"):
+        A.from_eigenbasis(f[:5])
 
 
 def test_to_eigenbasis_rejects_non_finite_vectors():
@@ -617,6 +665,10 @@ def test_vector_set_shapes_and_labels():
     assert len(V) == 1 and V.dimension == 3
     with pytest.raises(DimensionMismatch):
         VectorSet(np.ones((2, 3)), labels=("only one",))
+    with pytest.raises(ValueError, match="^vectors must form a nonempty 2-D array$"):
+        VectorSet(np.empty((0, 3)))
+    with pytest.raises(ValueError, match="^vectors must be finite$"):
+        VectorSet(np.array([[1.0, np.nan]]))
 
 
 def test_operator_json_round_trip(tmp_path):
@@ -721,6 +773,12 @@ def test_json_validation_errors():
         vectors_from_dict({"dimension": 2, "vectors": [[[1.0, 0.0]]]})
     with pytest.raises(ValueError):
         vectors_from_dict({"dimension": 2, "vectors": []})
+    with pytest.raises(ValueError, match="^operator document must be a JSON object$"):
+        operator_from_dict([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="^vector document must be a JSON object$"):
+        vectors_from_dict([[[1.0, 0.0]]])
+    with pytest.raises(ValueError, match="^vector document missing key 'vectors'$"):
+        vectors_from_dict({"dimension": 1})
 
 
 def test_json_dimension_is_optional():

@@ -17,7 +17,10 @@ The corpus runs:
   basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
   0.99 in each format (6 doublings), once with ``--max-points 48``,
   which ends in ``NoConvergence``, and once with ``--max-points 1``;
-- a few input errors.
+- a few input errors, among them windows that are not positive and finite
+  on every route: ``analyze --L inf`` and ``analyze --method quadrature
+  --L inf``, ``reconstruct --L inf``, ``lscan --Ls 1,nan`` and
+  ``verify --L nan``.
 
 Each run records its exit code, standard output and standard error, and the
 file that ``--out`` wrote.
@@ -116,6 +119,11 @@ def corpus() -> list:
             runs.append((f"discretize rot8 --target-ratio {ratio} {fmt}", argv, {}))
     runs += [
         ("analyze readme --L inf", ["analyze", *readme, "--L", "inf"], {}),
+        ("analyze readme quadrature --L inf",
+         ["analyze", *readme, "--L", "inf", "--method", "quadrature"], {}),
+        ("reconstruct readme --L inf", ["reconstruct", *readme, "--L", "inf"], {}),
+        ("lscan readme --Ls 1,nan", ["lscan", *readme, "--Ls", "1,nan"], {}),
+        ("verify readme --L nan", ["verify", *readme, "--L", "nan", "--times", "0,0.5"], {}),
         ("analyze readme --out missing directory",
          ["analyze", *readme, "--L", "1", "--out", "missing/out.txt"], {}),
         ("complete readme DYNSAMP_TOL=inf", ["complete", *readme], {"DYNSAMP_TOL": "inf"}),
