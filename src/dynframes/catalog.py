@@ -284,7 +284,7 @@ _ENTRIES = (
     CatalogEntry(
         "example-5.3",
         "reciprocal-decay diagonal family: Gram diagonal closed form",
-        "diagonal entries match (1 - k^{-2L}) / (2 L ln k) and their minimum falls with d",
+        "diagonal entries match (1 - k^{-2L}) / (2 ln k) and their minimum falls with d",
         _run_5_3,
     ),
     CatalogEntry(

@@ -75,6 +75,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=np.float64).reshape(-1)
         if t.size == 0:
             raise ValueError("a time grid needs at least one point")
+        if not np.isfinite(t).all():
+            raise ValueError("time grid times must be finite")
         L = _window_length(self.L)
         if t[0] != 0.0:
             raise ValueError("time grids must start at t = 0")

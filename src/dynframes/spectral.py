@@ -23,9 +23,10 @@ one-hot sensors cost a row gather.
 
 ``group_eigenspaces`` labels each eigenvalue index with its group: near
 ties within the tolerance, closed transitively, numbered by first index.
-It bins the values into cells of side about the tolerance, so it compares
-each value only with its neighbouring cells, and it joins a cell whose
-values are all within the tolerance without comparing them.
+It cuts the values into blocks at every gap wider than the tolerance along
+either axis, joins a block that is flat or lies within the tolerance
+without comparing its values, and compares each value of any other block
+only with its neighbours along one axis.
 
 JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
 in one conversion, so a loaded basis is complex. A malformed document raises
@@ -34,10 +35,11 @@ in one conversion, so a loaded basis is complex. A malformed document raises
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -64,8 +66,6 @@ __all__ = [
 ]
 
 _ORTHONORMAL_TOL = 1e-8
-# value pairs group_eigenspaces compares at once
-_PAIR_SLICE = 1 << 18
 
 
 def _env_tolerance(default: str) -> float:
@@ -168,12 +168,13 @@ class SpectralOperator:
     ``eigenbasis=None`` means the standard basis (the operator is diagonal).
     A basis with a real dtype is stored as float64, any other as complex128.
     ``tolerance`` controls eigenvalue grouping and invertibility decisions;
-    it defaults to 1e-10 (or the DYNSAMP_TOL environment override).
+    ``None`` means 1e-10 (or the DYNSAMP_TOL environment override), and
+    any other value must be positive and finite.
     """
 
     eigenvalues: np.ndarray
     eigenbasis: Optional[np.ndarray] = None
-    tolerance: float = field(default=-1.0)
+    tolerance: Optional[float] = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.complex128).reshape(-1)
@@ -211,9 +212,7 @@ class SpectralOperator:
             basis.setflags(write=False)
         object.__setattr__(self, "eigenbasis", basis)
 
-        tol = self.tolerance
-        if tol is None or tol < 0:
-            tol = default_tolerance()
+        tol = default_tolerance() if self.tolerance is None else self.tolerance
         if not 0 < tol < math.inf:
             raise ValueError("tolerance must be positive and finite")
         object.__setattr__(self, "tolerance", float(tol))
@@ -339,6 +338,8 @@ class VectorSet:
         return iter(self.vectors)
 
 
+# a gap between values near -+max float overflows to inf, beyond any tol
+@np.errstate(over="ignore")
 def group_eigenspaces(A: SpectralOperator) -> np.ndarray:
     """Group label of each eigenvalue index, groups numbered by first index.
 
@@ -347,12 +348,12 @@ def group_eigenspaces(A: SpectralOperator) -> np.ndarray:
     near ties merges into one group). Group 0 holds index 0, and each next
     number goes to the group of the smallest index not yet labelled.
 
-    Exact ties collapse first. The distinct values fall into square cells
-    whose side is a power of two above tol, so a value's partners lie in
-    its own cell or the eight around it. A cell, or two neighbouring cells,
-    whose bounding box has a diagonal within tol is one group outright, so
-    a dense near-tie cluster costs what its cells cost; the values of any
-    other cell or pair of neighbours are compared one pair at a time.
+    Exact ties collapse first. The distinct values are then cut into blocks
+    along the real and the imaginary axis in turn, at every gap wider than
+    tol, until a pass cuts nothing. A block that is flat along one axis, or
+    whose bounding box has a diagonal within tol, is one group outright;
+    in any other block each value is compared with the values after it
+    along the last axis, up to 2 tol further.
     """
     lam, tol = A.eigenvalues, A.tolerance
     _, first, inverse = np.unique(lam, return_index=True, return_inverse=True)
@@ -362,74 +363,49 @@ def group_eigenspaces(A: SpectralOperator) -> np.ndarray:
     node = np.empty_like(by_first)
     node[by_first] = np.arange(by_first.size)
     z = lam[first[by_first]]
-    # cells of side 2^e: a power of two, so every key is an exact floor;
-    # above tol with room for the last bits of hypot, so partners are at
-    # most one key apart; at least 2^-50 max|z|, so keys stay below 2^50
-    # and key + 1 is exact too
-    e = max(math.frexp(tol * (1.0 + 1e-12))[1],
-            math.frexp(np.abs(z.view(np.float64)).max())[1] - 50)
-    # complex keys sort lexicographically: column by column, row by row
-    keys = np.floor(np.ldexp(z.real, -e)) + 1j * np.floor(np.ldexp(z.imag, -e))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    # cell c holds the values order[start[c]:start[c] + count[c]]
-    start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    count = np.diff(start, append=keys.size)
-    cells = keys[start]
-    # each cell's neighbours above it and in the next column: up to three
-    # consecutive cells from row ky + 1 of its column and from row ky - 1
-    # of the next
-    first_row = np.array([1j, 1 - 1j])[:, None] + cells
-    near = np.searchsorted(cells, first_row)[..., None] + np.arange(3)
-    q = np.minimum(near, cells.size - 1)
-    dx, a, t = np.nonzero((near < cells.size) & (cells.real[q] == first_row.real[..., None])
-                          & (cells.imag[q] <= cells.imag[:, None] + 1))
-    b = q[dx, a, t]
-
-    x, y = z.real[order], z.imag[order]
-    lo_x, hi_x = np.minimum.reduceat(x, start), np.maximum.reduceat(x, start)
-    lo_y, hi_y = np.minimum.reduceat(y, start), np.maximum.reduceat(y, start)
-
-    def within_tol(a, b):
-        # rounding is monotone, so no pair's gap exceeds the box's; the
-        # margin covers the last bit of hypot
-        width = np.maximum(hi_x[a], hi_x[b]) - np.minimum(lo_x[a], lo_x[b])
-        height = np.maximum(hi_y[a], hi_y[b]) - np.minimum(lo_y[a], lo_y[b])
-        return np.hypot(width, height) <= tol * (1.0 - 4.0 * np.finfo(np.float64).eps)
-
-    every = np.arange(cells.size)
-    own, both = within_tol(every, every), within_tol(a, b)
-    # a cell within tol joins its values to its first, two cells their firsts
-    mine = np.repeat(own, count)
-    root = _join(np.arange(z.size), order[np.repeat(start, count)][mine], order[mine])
-    root = _join(root, order[start[a[both]]], order[start[b[both]]])
-    # any other cell or pair compares every value with every value, a
-    # slice of pairs at a time to bound the memory it takes
-    pa = np.concatenate((a[~both], every[~own]))
-    pb = np.concatenate((b[~both], every[~own]))
-    nb = count[pb]
-    pairs = count[pa] * nb
-    total = int(pairs.sum())
-    for lo in range(0, total, _PAIR_SLICE):
-        blk, k = _slots(pairs, lo, min(lo + _PAIR_SLICE, total))
-        i = order[start[pa][blk] + k // nb[blk]]
-        j = order[start[pb][blk] + k % nb[blk]]
+    # rounding is monotone and the distance is at least the gap along
+    # either axis, so no pair across a cut is within tol; each pass that
+    # goes on adds a block, so the passes end
+    block = np.zeros(z.size, dtype=np.intp)
+    for k in itertools.count():
+        x = z.imag if k % 2 else z.real
+        order = np.lexsort((x, block))
+        cut = (np.diff(block[order]) > 0) | (np.diff(x[order]) > tol)
+        if k and np.count_nonzero(cut) == block[order[-1]]:  # no new cut
+            break
+        block[order] = np.cumsum(np.concatenate(([0], cut)))
+    # block c holds the values order[start[c]:start[c] + count[c]], sorted
+    # along the last axis
+    start = np.flatnonzero(np.concatenate(([True], cut)))
+    count = np.diff(start, append=z.size)
+    re, im = z.real[order], z.imag[order]
+    width = np.maximum.reduceat(re, start) - np.minimum.reduceat(re, start)
+    height = np.maximum.reduceat(im, start) - np.minimum.reduceat(im, start)
+    # a block flat along one axis is a chain of gaps within tol along the
+    # other; in a box within tol no pair's gap exceeds the box's, and the
+    # margin covers the last bit of hypot
+    whole = ((width == 0) | (height == 0)
+             | (np.hypot(width, height) <= tol * (1.0 - 4.0 * np.finfo(np.float64).eps)))
+    joined = np.repeat(whole, count)
+    root = _join(np.arange(z.size), order[np.repeat(start, count)][joined], order[joined])
+    # a partner lies within 2 tol along the last axis, whatever the
+    # rounding of x + tol; keys sort as (block, x)
+    keys = block[order] + 1j * x[order]
+    end = np.searchsorted(keys, keys + 2j * tol, side="right")
+    live = np.flatnonzero(~joined)
+    for step in itertools.count(1):
+        live = live[live + step < end[live]]
+        if not live.size:
+            break
+        i, j = order[live], order[live + step]
         gap = z[i] - z[j]
         # hypot rounds like the scalar abs(); numpy's vectorised complex
         # abs can differ by an ulp and flip a tie that sits at the tolerance
-        near_pair = np.hypot(gap.real, gap.imag) <= tol
-        root = _join(root, i[near_pair], j[near_pair])
+        near = np.hypot(gap.real, gap.imag) <= tol
+        root = _join(root, i[near], j[near])
     # the roots, in increasing order, are the groups in order of first index
     label = np.cumsum(root == np.arange(z.size)) - 1
     return label[root][node[inverse]]
-
-
-def _slots(sizes: np.ndarray, lo: int, hi: int) -> tuple:
-    """Block and offset in it of slots lo..hi-1 of blocks of these sizes laid end to end."""
-    ends = np.cumsum(sizes)
-    slot = np.arange(lo, hi)
-    blk = np.searchsorted(ends, slot, side="right")
-    return blk, slot - (ends - sizes)[blk]
 
 
 def _join(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -506,7 +482,7 @@ def operator_from_dict(data: dict) -> SpectralOperator:
     raw_basis, tol = data.get("eigenbasis"), data.get("tolerance")
     basis = None if raw_basis is None else _from_pairs(raw_basis, (d, d), "eigenbasis").T
     try:
-        tol = -1.0 if tol is None else float(tol)
+        tol = None if tol is None else float(tol)
     except (TypeError, OverflowError):
         raise ValueError(f"tolerance must be a number, got {tol!r}") from None
     return SpectralOperator(lam, basis, tol)

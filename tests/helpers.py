@@ -196,12 +196,14 @@ def group_eigenspaces_pairwise(lam, tol):
             i = parent[i]
         return i
 
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(lam[i] - lam[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    # a gap between values near -+max float overflows to inf, beyond any tol
+    with np.errstate(over="ignore"):
+        for i in range(d):
+            for j in range(i + 1, d):
+                if abs(lam[i] - lam[j]) <= tol:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[rj] = ri
 
     groups: dict = {}
     for i in range(d):

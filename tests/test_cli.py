@@ -342,6 +342,9 @@ def test_lscan_command(identity_files, capsys):
 @pytest.mark.parametrize("command, message", [
     (["verify", "--L", "1", "--times", ""], "verify needs --times as a comma-separated list"),
     (["lscan", "--Ls", ""], "lscan needs --Ls as a comma-separated list"),
+    # a non-finite time is named as such, not blamed on the ordering
+    (["verify", "--L", "1", "--times", "0,nan"], "time grid times must be finite"),
+    (["verify", "--L", "1", "--times", "0,inf"], "time grid times must be finite"),
 ])
 def test_empty_time_and_length_lists_are_input_errors(identity_files, capsys, command, message):
     op, vec = identity_files
@@ -485,13 +488,14 @@ def test_infinite_tolerance_is_an_input_error(tmp_path, monkeypatch, capsys, com
     assert main(args) == 1
     assert capsys.readouterr().err == (
         "error: invalid DYNSAMP_TOL: DYNSAMP_TOL must be positive and finite, got inf\n")
-    # a file's infinite tolerance is an invalid file
+    # a file's infinite, zero or negative tolerance is an invalid file
     monkeypatch.delenv("DYNSAMP_TOL")
     text = op.read_text(encoding="utf-8")
     assert '"tolerance": 1e-10' in text
-    op.write_text(text.replace('"tolerance": 1e-10', '"tolerance": 1e999'), encoding="utf-8")
-    assert main(args) == 1
-    assert capsys.readouterr().err.startswith(f"error: invalid op file {op}: tolerance must be")
+    for bad in ("1e999", "0", "-3"):
+        op.write_text(text.replace('"tolerance": 1e-10', f'"tolerance": {bad}'), encoding="utf-8")
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid op file {op}: tolerance must be")
 
 
 # ---------------------------------------------------------------------------

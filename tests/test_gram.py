@@ -33,6 +33,10 @@ def test_time_grid_validation():
         TimeGrid(np.array([0.0]), 0.0)
     with pytest.raises(ValueError, match="^a time grid needs at least one point$"):
         TimeGrid(np.array([]), 1.0)
+    # a non-finite time is named as such, not blamed on the ordering
+    for times in ([0.0, np.nan], [0.0, np.inf], [np.nan], [0.0, -np.inf, 0.5]):
+        with pytest.raises(ValueError, match="^time grid times must be finite$"):
+            TimeGrid(np.array(times), 1.0)
     with pytest.raises(ValueError, match="^uniform grid needs n >= 1 points$"):
         TimeGrid.uniform(0, 1.0)
 

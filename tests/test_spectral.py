@@ -579,7 +579,7 @@ def test_tolerance_default_and_env(monkeypatch):
 
 
 def test_tolerance_must_be_finite(monkeypatch):
-    for tol in (math.inf, math.nan):
+    for tol in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="positive and finite"):
             SpectralOperator(np.ones(2), tolerance=tol)
     for value in ("inf", "nan", "0", "-1e-9"):
@@ -605,6 +605,9 @@ def test_group_eigenspaces_near_tie_cluster_is_one_group():
     # 4096 distinct values, all within the tolerance of each other: one
     # group, found without comparing every pair
     A = SpectralOperator(1 + 1e-14 * np.arange(4096))
+    assert group_eigenspaces(A).tolist() == [0] * 4096
+    # a chain 20 tolerances long on the real axis is one group too
+    A = SpectralOperator(1 + 5e-13 * np.arange(4096))
     assert group_eigenspaces(A).tolist() == [0] * 4096
 
 
@@ -643,10 +646,19 @@ tied_spectrum = st.lists(
 @example(lam=[0.5 + 0.5j] * 64)  # a fully degenerate spectrum
 @example(lam=[1.0, 1.0 + 0.7e-10] * 32 + [1.0 + 1.4e-10])  # tied clusters chained
 @example(lam=[0.0, -0.0, complex(-0.0, 0.0), 1e-11])  # signed zeros are one value
-@example(lam=[1.0 + 0.6e-10 * k for k in range(40)])  # a chain across many cells
+@example(lam=[1.0 + 0.6e-10 * k for k in range(40)])  # a chain many tolerances long
+@example(lam=[0.6e-10j * k for k in range(40)])  # a vertical chain
+@example(lam=[1.0 + (0.6 + 0.8j) * 0.9e-10 * k for k in range(40)])  # a diagonal chain
+# no gap along either axis, until the cut along the imaginary axis opens a
+# gap along the real axis: a third cut
+@example(lam=[0.0, 0.9e-10 + 5e-10j, 1.8e-10])
+# no gap along either axis, yet the two values are farther apart than tol
+@example(lam=[0.0, 0.9e-10 + 0.9e-10j])
+# gaps between these overflow to inf
+@example(lam=[1.7e308, -1.7e308, 1.7e308j, -1.7e308j])
 # near 1e5 one ulp is 2^-36, so 6 ulps are within the tolerance and 7 are not
 @example(lam=[1e5 + k * 2.0**-36 for k in (0, 6, 13, 20, 30)] + [1e5 + (4 + 5j) * 2.0**-36])
-# a modulus of 1e12 makes the cells far wider than the tolerance
+# a far value of modulus 1e12 next to near ties
 @example(lam=[3.0, 3.0 + 0.5e-10, 3.0 + 2.5e-10, 3.0 + 1e-10j, 1e12])
 def test_group_eigenspaces_matches_pairwise_oracle(lam):
     A = SpectralOperator(np.array(lam, dtype=complex), tolerance=GROUP_TOL)
@@ -727,7 +739,7 @@ def json_systems(draw):
         "complex": random_unitary(rng, d),
     }[kind]
     tol = draw(st.none() | st.floats(1e-14, 1e-3))
-    A = SpectralOperator(_complex_array(draw, (d,)), basis, -1.0 if tol is None else tol)
+    A = SpectralOperator(_complex_array(draw, (d,)), basis, tol)
     m = draw(st.integers(1, 4))
     labels = draw(st.none() | st.lists(st.text(max_size=5), min_size=m, max_size=m))
     return A, VectorSet(_complex_array(draw, (m, d)), labels)

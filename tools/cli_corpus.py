@@ -13,6 +13,10 @@ The corpus runs:
   format, and ``--out`` into a directory that does not exist;
 - ``repro --list``, ``repro --all`` and ``repro example-5.5`` in each
   format, and an unknown entry name;
+- ``complete`` in each format on a diagonal operator whose spectrum holds a
+  real chain of near ties, a complex cluster, a vertical chain and a zero
+  eigenvalue, with four random generators, so eigenvalue grouping is
+  covered;
 - deep grid searches: ``discretize`` on 8 unit-circle rotations in a random
   basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
   0.99 in each format (6 doublings), once with ``--max-points 48``,
@@ -86,6 +90,14 @@ q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
 D.save_operator(D.SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8), q), "rot8.json")
 D.save_vectors(D.VectorSet(rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8))),
                "rot8-vectors.json")
+# near ties at the default tolerance 1e-10: a real chain 3 tolerances long, a
+# complex cluster within it, a vertical chain and a zero eigenvalue
+lam = np.concatenate((1 + 0.6e-10 * np.arange(6),
+                      0.5 + 0.5j + 0.4e-10 * np.exp(2j * np.pi * np.arange(5) / 5),
+                      -0.5 + 1j * (0.3 + 0.7e-10 * np.arange(4)), [0.0]))
+D.save_operator(D.SpectralOperator(lam), "groups.json")
+D.save_vectors(D.VectorSet(rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))),
+               "groups-vectors.json")
 """
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
@@ -117,6 +129,9 @@ def corpus() -> list:
         for ratio in ("0.9", "0.99"):
             argv = [*rotations, "--target-ratio", ratio, "--format", fmt]
             runs.append((f"discretize rot8 --target-ratio {ratio} {fmt}", argv, {}))
+        argv = ["complete", "--op", "groups.json", "--vectors", "groups-vectors.json",
+                "--format", fmt]
+        runs.append((f"complete groups {fmt}", argv, {}))
     runs += [
         ("analyze readme --L inf", ["analyze", *readme, "--L", "inf"], {}),
         ("analyze readme quadrature --L inf",
