@@ -3,6 +3,10 @@
 Frame bounds are the extreme eigenvalues of a Gram in eigen-coordinates, its
 ``hat``, computed by LAPACK through ``numpy.linalg.eigvalsh``. The tests check
 them against a cyclic Jacobi solver and a 40-digit mpmath eigensolve.
+
+The spanning test ranks the generators' eigen-coordinates group by group,
+on the eigenvalue groups its operator lays out once; coordinates with no
+imaginary part go to LAPACK as real arrays, so the dtype follows the data.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .spectral import (
     _window_integral,
     _window_length,
     apply_power_batch,
-    group_eigenspaces,
     pair_integral,
     rank_tolerance_factor,
 )
@@ -105,7 +108,10 @@ def frame_bounds(S) -> FrameReport:
 
     The system is a frame exactly when the lower bound clears the relative
     rank tolerance (1e-9 times the upper bound by default); otherwise the
-    family fails to span and the report says ``incomplete``.
+    family fails to span and the report says ``incomplete``. An eigenvalue
+    below -1e-9 times the largest modulus raises ``ValueError``; like the
+    Hermitian check on a plain array, that test is relative to the matrix's
+    own scale, so a rescaled Gram keeps its verdict.
     """
     if isinstance(S, Gram):
         M, src = S.hat, S.method
@@ -118,7 +124,7 @@ def frame_bounds(S) -> FrameReport:
         raise DomainError("gram eigenvalues are non-finite (its norm overflows)")
     lower = float(w[0])
     upper = float(w[-1])
-    if lower < -1e-9 * max(1.0, abs(upper)):
+    if lower < -1e-9 * max(abs(lower), abs(upper)):
         raise ValueError(
             f"gram matrix has significantly negative eigenvalue {lower:.3e}"
         )
@@ -157,31 +163,24 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     The orbit of G under continuous powers spans C^d exactly when, within
     every eigenvalue group, the projected generators already span that
     group's eigenspace. Each group's rank is the count of its block's
-    singular values above the relative rank cutoff; the blocks of all
-    groups of one size go to LAPACK as one stack. The groups come from the
-    label array of ``group_eigenspaces``: their sizes from one bincount,
-    their members from one stable argsort.
+    singular values above the relative rank cutoff, read at call time; the
+    blocks of all groups of one size go to LAPACK as one stack. The groups,
+    their sizes and the rows each block gathers are laid out once per
+    operator, so a call does only the work that depends on G. Eigen-
+    coordinates with no imaginary part (a real basis and real generators)
+    are ranked in real arithmetic.
     """
     ghat_t = A.to_eigenbasis(G.vectors).T
-    labels = group_eigenspaces(A)
-    sizes = np.bincount(labels)
-    # the indices of each group in ascending order, group after group
-    members = np.argsort(labels, kind="stable")
-    start = np.cumsum(sizes) - sizes
-    achieved = np.empty(sizes.size, dtype=int)
-    for size in np.unique(sizes).tolist():
-        which = np.flatnonzero(sizes == size)
+    if not ghat_t.imag.any():
+        ghat_t = ghat_t.real
+    values, indices, sizes, blocks = A._eigenspaces
+    achieved = np.empty(len(sizes), dtype=int)
+    for which, rows in blocks:
         # (k, size, |G|): row i of a block is eigen-coordinate i of every generator
-        blocks = ghat_t[members[start[which, None] + np.arange(size)]]
-        achieved[which] = _svd_rank(blocks)
-    flat = members.tolist()
-    entries = tuple(map(GroupRank._make, zip(
-        A.eigenvalues[members[start]].tolist(),
-        [tuple(flat[i:i + n]) for i, n in zip(start.tolist(), sizes.tolist())],
-        sizes.tolist(),
-        achieved.tolist(),
-    )))
-    return CompletenessCertificate(entries, bool((achieved == sizes).all()))
+        achieved[which] = _svd_rank(ghat_t[rows])
+    achieved = achieved.tolist()
+    entries = tuple(map(GroupRank._make, zip(values, indices, sizes, achieved)))
+    return CompletenessCertificate(entries, tuple(achieved) == sizes)
 
 
 def brute_force_completeness(

@@ -53,11 +53,13 @@ def _check_hermitian(S, label: str) -> np.ndarray:
         raise DomainError(
             f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
         )
-    # halved, so the scale cannot overflow to inf and pass every asymmetry (the
-    # test is unchanged); an asymmetry that still overflows is inf and fails
+    # relative to the largest entry, so a rescaled matrix keeps its verdict;
+    # halved, so the scale cannot overflow to inf and pass every asymmetry
+    # (halving both sides leaves the test as it is), and an asymmetry that
+    # still overflows is inf and fails
     half = 0.5 * S
     with np.errstate(over="ignore"):
-        scale = max(0.5, float(np.max(np.abs(half))) if S.size else 0.5)
+        scale = float(np.max(np.abs(half)))
         asym = float(np.max(np.abs(half - half.conj().T)))
     if asym > _HERMITIAN_TOL * scale:
         raise NonHermitian(f"{label} asymmetry {2.0 * asym:.3e} exceeds tolerance")

@@ -26,7 +26,9 @@ ties within the tolerance, closed transitively, numbered by first index.
 It cuts the values into blocks at every gap wider than the tolerance along
 either axis, joins a block that is flat or lies within the tolerance
 without comparing its values, and compares each value of any other block
-only with its neighbours along one axis.
+only with its neighbours along one axis. An operator lays its groups out
+for the spanning test once and keeps them, like ``Gram.matrix``, so checks
+of many sensor sets against one operator group it once.
 
 JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
 in one conversion, so a loaded basis is complex. A malformed document raises
@@ -40,6 +42,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -269,6 +272,38 @@ class SpectralOperator:
         # zero parts, and copies v instead of the d x d basis
         out = np.conj(v) @ U
         return np.conj(out, out=out)
+
+    @cached_property
+    def _eigenspaces(self) -> tuple:
+        """The groups of ``group_eigenspaces``, laid out on first read, then kept.
+
+        They depend only on the eigenvalues and the tolerance, both fixed at
+        construction, and are freed with the operator. In order of first
+        index, (values, indices, sizes, blocks): each group's eigenvalue at
+        its first index, its indices in ascending order and their count, and
+        one (groups, rows) pair of read-only arrays per group size, the
+        numbers of the groups of that size and a (k, size) array whose row i
+        lists the indices of the i-th of them.
+        """
+        labels = group_eigenspaces(self)
+        sizes = np.bincount(labels)
+        # the indices of each group in ascending order, group after group
+        members = np.argsort(labels, kind="stable")
+        start = np.cumsum(sizes) - sizes
+        blocks = []
+        for size in np.unique(sizes).tolist():
+            which = np.flatnonzero(sizes == size)
+            rows = members[start[which, None] + np.arange(size)]
+            which.setflags(write=False)
+            rows.setflags(write=False)
+            blocks.append((which, rows))
+        flat = members.tolist()
+        return (
+            tuple(self.eigenvalues[members[start]].tolist()),
+            tuple(tuple(flat[i:i + n]) for i, n in zip(start.tolist(), sizes.tolist())),
+            tuple(sizes.tolist()),
+            tuple(blocks),
+        )
 
     def from_eigenbasis(self, coords: np.ndarray) -> np.ndarray:
         c = np.asarray(coords, dtype=np.complex128)

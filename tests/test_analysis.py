@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -27,6 +29,7 @@ from dynframes.spectral import (
     VectorSet,
     apply_power_batch,
     default_tolerance,
+    group_eigenspaces,
     pair_integral,
     rank_tolerance_factor,
 )
@@ -230,6 +233,32 @@ def test_frame_bounds_rejects_bad_input():
         frame_bounds(-np.eye(3))
 
 
+def _verdict(S):
+    try:
+        return frame_bounds(S).classification
+    except (NonHermitian, ValueError) as exc:
+        return type(exc).__name__
+
+
+def test_frame_bounds_verdicts_do_not_depend_on_the_scale():
+    # the negativity and the Hermitian check are relative to the matrix's
+    # own scale: a tiny indefinite or non-Hermitian matrix is rejected, not
+    # called incomplete, and a tiny frame stays a frame
+    cases = {
+        "ValueError": np.diag([1.0, -1.0]),
+        "NonHermitian": np.array([[1.0, 10.0], [0.0, 1.0]]),
+        FRAME: np.array([[2.0, 1.0j], [-1.0j, 2.0]]),
+        INCOMPLETE: np.ones((2, 2)),
+    }
+    for want, S in cases.items():
+        assert [_verdict(scale * S) for scale in (1.0, 2.0**-40, 2.0**-600)] == [want] * 3
+    assert _verdict(np.array([[1e-10, 1e-9], [0.0, 1e-10]])) == "NonHermitian"
+    assert _verdict(1e-10 * np.diag([1.0, -1.0])) == "ValueError"
+    # a zero Gram spans nothing
+    rep = frame_bounds(np.zeros((3, 3)))
+    assert rep.classification == INCOMPLETE and rep.lower == rep.upper == 0.0
+
+
 def test_overflowed_gram_raises_domain_error():
     # 3^(2L) overflows at L = 400; the Gram must not reach the eigensolver,
     # which would read the inf/NaN entries as a finite indefinite matrix
@@ -419,6 +448,86 @@ def test_completeness_batched_ranks_match_per_group_oracle(
         got = completeness_check(A, G)
         assert got == completeness_per_group(A, G)
     assert all(type(g.achieved) is int for g in got.groups)
+
+
+def test_completeness_layout_lives_and_dies_with_its_operator():
+    A = SpectralOperator(np.array([2.0, 1.0, 2.0, 3.0, 1.0, 2.0]))
+    G = VectorSet(np.array([[1.0, 1.0, 0.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0, 2.0, 3.0]]))
+    first = completeness_check(A, G)
+    assert [(g.indices, g.achieved) for g in first.groups] == [
+        ((0, 2, 5), 2), ((1, 4), 2), ((3,), 1)]
+    # the arrays kept on the operator are read-only
+    *_, blocks = A._eigenspaces
+    for which, rows in blocks:
+        assert not which.flags.writeable and not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0
+    # group_eigenspaces hands out its own array, so changing it changes nothing
+    labels = group_eigenspaces(A)
+    labels[:] = 0
+    assert group_eigenspaces(A).tolist() == [0, 1, 0, 2, 1, 0]
+    assert completeness_check(A, G) == first
+    # nothing outside the operator holds it
+    ref = weakref.ref(A)
+    del A
+    gc.collect()
+    assert ref() is None
+
+
+def test_completeness_reads_the_rank_cutoff_at_call_time(monkeypatch):
+    # 2 and 2 + 1e-6 are two groups at the default tolerance and one at 1e-3;
+    # the block of the double eigenvalue 1 has singular values 1 and 1e-5
+    monkeypatch.delenv("DYNSAMP_TOL", raising=False)
+    lam = np.array([1.0, 1.0, 2.0, 2.0 + 1e-6])
+    A = SpectralOperator(lam)
+    G = VectorSet(np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1e-5, 0.0, 0.0]]))
+    before = completeness_check(A, G)
+    assert before.complete
+    assert [(g.indices, g.achieved) for g in before.groups] == [
+        ((0, 1), 2), ((2,), 1), ((3,), 1)]
+    monkeypatch.setenv("DYNSAMP_TOL", "1e-3")
+    after = completeness_check(A, G)
+    # the new cutoff drops the 1e-5 direction; the groups keep A's tolerance
+    assert not after.complete
+    assert [(g.indices, g.achieved) for g in after.groups] == [
+        ((0, 1), 1), ((2,), 1), ((3,), 1)]
+    assert after == completeness_per_group(A, G)
+    # an operator built now takes the new tolerance and groups 2 with 2 + 1e-6
+    fresh = completeness_check(SpectralOperator(lam), G)
+    assert [(g.indices, g.achieved) for g in fresh.groups] == [((0, 1), 1), ((2, 3), 1)]
+
+
+@pytest.mark.parametrize("d", [16, 64, 512])
+def test_real_eigen_coordinates_rank_like_the_complex_oracle(d):
+    # a real basis and one-hot sensors give real eigen-coordinates, ranked
+    # in real arithmetic; the oracle ranks each group with the complex SVD.
+    # The antipodal pair leaves every paired eigenspace one direction short,
+    # with a second singular value at rounding level
+    A = heat_cycle_operator(d, 1.0)
+    rng = np.random.default_rng(d)
+    sensor_sets = [[3], [0, d // 2], [5, 5 + d // 2]]
+    sensor_sets += [sorted(rng.choice(d, 3, replace=False).tolist()) for _ in range(4)]
+    for sensors in sensor_sets:
+        vecs = np.zeros((len(sensors), d))
+        vecs[np.arange(len(sensors)), sensors] = 1.0
+        G = VectorSet(vecs)
+        assert not A.to_eigenbasis(G.vectors).imag.any()
+        cert = completeness_check(A, G)
+        assert cert == completeness_per_group(A, G)
+        if len(sensors) == 2:
+            assert not cert.complete
+            assert all(g.achieved == 1 for g in cert.groups)
+        if d == 16:
+            assert brute_force_completeness(A, G, 1.0, 4 * d * len(sensors)) == cert.complete
+
+
+def test_imaginary_eigen_coordinates_count_toward_the_rank():
+    # the real parts span one direction of the double eigenvalue, the
+    # coordinates themselves both, on a standard and on a real basis
+    for basis in (None, np.array([[0.6, 0.8], [-0.8, 0.6]])):
+        A = SpectralOperator(np.ones(2), basis)
+        G = VectorSet(A.from_eigenbasis(np.array([[1.0, 0.0], [0.0, 1.0j]])))
+        assert completeness_check(A, G).groups[0].achieved == 2
 
 
 def test_frame_implies_complete():

@@ -7,7 +7,10 @@ The corpus runs:
 - every file command (analyze, complete, bessel, carleson, discretize,
   verify, lscan, reconstruct) in table, JSON and CSV format on README's
   example files and on heat-kernel cycles (d = 16 and 512, with one-hot,
-  sparse and dense generators);
+  antipodal, sparse and dense generators; the antipodal pair, sensors 0
+  and d/2, leaves every paired eigenspace rank-deficient at rounding
+  level, where real and complex arithmetic sit closest to the rank
+  cutoff);
 - ``analyze --method quadrature`` in each format;
 - ``analyze``, ``complete`` and ``lscan`` with ``--out FILE`` in each
   format, and ``--out`` into a directory that does not exist;
@@ -79,6 +82,9 @@ for d in map(int, sys.argv[1:]):
     onehot = np.zeros((3, d))
     onehot[np.arange(3), [0, d // 3, 2 * d // 3 + 1]] = 1.0
     D.save_vectors(D.VectorSet(onehot), f"heat{d}-onehot.json")
+    antipodal = np.zeros((2, d))
+    antipodal[[0, 1], [0, d // 2]] = 1.0
+    D.save_vectors(D.VectorSet(antipodal), f"heat{d}-antipodal.json")
     rng = np.random.default_rng(d)
     dense = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
     D.save_vectors(D.VectorSet(dense), f"heat{d}-dense.json")
@@ -107,7 +113,7 @@ def corpus() -> list:
     """(name, argv, extra environment) of every run, paths relative to the input directory."""
     systems = [("readme", "readme-op.json", "readme-vectors.json")] + [
         (f"heat{d}-{kind}", f"heat{d}.json", f"heat{d}-{kind}.json")
-        for d in HEAT_SIZES for kind in ("onehot", "sparse", "dense")
+        for d in HEAT_SIZES for kind in ("onehot", "antipodal", "sparse", "dense")
     ]
     runs = []
     for system, op, vectors in systems:
