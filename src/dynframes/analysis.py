@@ -22,7 +22,6 @@ from .gram import Gram, _check_hermitian
 from .spectral import (
     SpectralOperator,
     VectorSet,
-    _principal_log,
     _window_integral,
     _window_length,
     apply_power_batch,
@@ -228,7 +227,7 @@ def multiplier_bounds(A: SpectralOperator, L: float) -> tuple:
     DomainError unless L is positive and finite.
     """
     L = _window_length(L)
-    vals = np.abs(_window_integral(_principal_log(A.eigenvalues), min(L, 0.5)))
+    vals = np.abs(_window_integral(A._log, min(L, 0.5)))
     return float(vals.min()), float(vals.max())
 
 

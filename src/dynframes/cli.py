@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -281,6 +282,9 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+# built once per process: parsing reads the parser and changes nothing in it,
+# and every default is immutable
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynframes",

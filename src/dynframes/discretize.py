@@ -102,13 +102,13 @@ def find_discretization(
     last = -math.inf
     if n <= max_points:
         W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
-        M = _power_profile(A.eigenvalues, [0.0])  # the t = 0 row of every grid
+        M = _power_profile(A, [0.0])  # the t = 0 row of every grid
     while n <= max_points:
         # (2j) (L / n) == j (L / (n / 2)) exactly, so only the odd rows are new
         h = float(L) / n
-        grown = np.empty((n, M.shape[1]), dtype=np.complex128)
+        grown = np.empty((n, M.shape[1]), dtype=M.dtype)
         grown[0::2] = M
-        grown[1::2] = _power_profile(A.eigenvalues, np.arange(1, n, 2) * h)
+        grown[1::2] = _power_profile(A, np.arange(1, n, 2) * h)
         M = grown
         Q = _power_sum(M)
         # every left-rule weight of a uniform grid is h

@@ -45,10 +45,12 @@ _HERMITIAN_TOL = 1e-8
 
 
 def _check_hermitian(S, label: str) -> np.ndarray:
-    """S as a complex array; raises unless it is square, finite and Hermitian."""
+    """S as a complex array; raises unless it is square, nonempty, finite and Hermitian."""
     S = np.asarray(S, dtype=np.complex128)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch("gram matrix must be square")
+    if S.size == 0:
+        raise DimensionMismatch(f"{label} is empty (0 x 0)")
     if not np.isfinite(S).all():
         raise DomainError(
             f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
@@ -191,7 +193,7 @@ def discrete_gram(
     else:
         raise ValueError(f"unknown weighting {weights!r}")
     ghat = A.to_eigenbasis(G.vectors)
-    M = _power_profile(A.eigenvalues, T.times)
+    M = _power_profile(A, T.times)
     return Gram(_sampled_gram_hat(ghat, M, w), "discrete", A.eigenbasis)
 
 

@@ -17,6 +17,7 @@ computes it in eigen-coordinates and returns it as ``Samples``, which
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotAFrame
 from .analysis import FRAME, frame_bounds
 from .gram import TimeGrid, _sampled_gram_hat
-from .spectral import SpectralOperator, VectorSet, _power_profile
+from .spectral import SpectralOperator, VectorSet, _power_profile, _product
 
 __all__ = [
     "SampleRecord",
@@ -81,11 +82,15 @@ class Samples(Sequence):
     def from_records(cls, records: Sequence, generators: int) -> "Samples":
         """The records of ``generators`` generators, one per generator/time pair, in any order."""
         m, count = generators, len(records)
+
+        def read(name):  # attrgetter reads in C; a generator runs a frame per record
+            return map(operator.attrgetter(name), records)
+
         try:
-            index = np.fromiter((r.generator_index for r in records), np.int64, count)
+            index = np.fromiter(read("generator_index"), np.int64, count)
         except OverflowError:  # an index beyond int64 is out of range; keep it exact
-            index = np.array([r.generator_index for r in records], dtype=object)
-        times, column = np.unique(np.fromiter((r.time for r in records), np.float64, count),
+            index = np.array(list(read("generator_index")), dtype=object)
+        times, column = np.unique(np.fromiter(read("time"), np.float64, count),
                                   return_inverse=True)
         n = times.size
         outside = (index < 1) | (index > m)
@@ -101,7 +106,7 @@ class Samples(Sequence):
             pairs = [(k // n + 1, float(times[k % n])) for k in missing]
             raise ValueError(f"samples must cover all generator/time pairs; missing {pairs}")
         values = np.empty((m, n), dtype=np.complex128)
-        values[index - 1, column] = np.fromiter((r.value for r in records), np.complex128, count)
+        values[index - 1, column] = np.fromiter(read("value"), np.complex128, count)
         return cls(values, times)
 
     def __len__(self) -> int:
@@ -138,10 +143,10 @@ def sample(A: SpectralOperator, G: VectorSet, f: np.ndarray, T: TimeGrid) -> Sam
     fv = np.asarray(f, dtype=np.complex128).reshape(-1)
     if fv.size != A.dimension or G.dimension != A.dimension:
         raise DimensionMismatch("state, generators and operator must share C^d")
-    # values[g, i] = <lambda^{t_i} * fhat, ghat_g> in eigen-coordinates
-    orbit_hat = _power_profile(A.eigenvalues, T.times) * A.to_eigenbasis(fv)
-    values = np.conj(A.to_eigenbasis(G.vectors)) @ orbit_hat.T
-    return Samples(values, T.times)
+    # values[g, i] = <lambda^{t_i} * fhat, ghat_g> in eigen-coordinates,
+    # summed as (conj(ghat_g) * fhat) @ lambda^{t_i}
+    coeffs = np.conj(A.to_eigenbasis(G.vectors)) * A.to_eigenbasis(fv)
+    return Samples(_product(coeffs, _power_profile(A, T.times).T), T.times)
 
 
 def reconstruct(
@@ -184,10 +189,10 @@ def reconstruct(
         vals = vals * weights
 
     # analysis family in eigencoordinates: psi_hat = conj(lambda^t) * g_hat
-    profile = np.conj(_power_profile(A.eigenvalues, times))
+    profile = np.conj(_power_profile(A, times))
     ghat = A.to_eigenbasis(G.vectors)
     S_hat = _sampled_gram_hat(ghat, profile, weights)
-    b_hat = np.sum(ghat * (vals @ profile), axis=0)
+    b_hat = np.sum(ghat * _product(vals, profile), axis=0)
     report = frame_bounds(S_hat)
     if report.classification != FRAME:
         raise NotAFrame(

@@ -8,9 +8,13 @@ branch ``z^t = exp(t (ln|z| + i arg z))`` with ``arg z`` in ``[-pi, pi)``.
 Two vectorised kernels compute every power and window integral in the
 package: ``_power_profile`` (samples ``lambda^t``) and ``_window_integral``
 (``(e^{L alpha} - 1) / alpha``, through ``expm1``). They are where an
-overflowing power becomes a ``DomainError``. ``pair_integral`` is the one
-scalar entry point, kept for single windows such as the Bessel constant and
-the transfer bound.
+overflowing power becomes a ``DomainError``. Both work on the spectrum's
+principal log, which an operator lays out once and keeps (``_log``): the
+float64 ``ln lambda`` (-inf at 0) when every eigenvalue is real and
+nonnegative, as for a heat diffusion, so the powers and pair integrals are
+float64 too, and the complex principal log otherwise. ``pair_integral`` is
+the one scalar entry point, kept for single windows such as the Bessel
+constant and the transfer bound.
 
 A basis given with a real dtype (the Fourier basis of a heat diffusion, any
 self-adjoint evolution with real eigenvectors) is stored as float64, a
@@ -96,6 +100,18 @@ def _principal_log(z) -> np.ndarray:
         return np.log(np.abs(z)) + 1j * np.where(arg == np.pi, -np.pi, arg)
 
 
+def _spectrum_log(eigenvalues) -> np.ndarray:
+    """float64 ln(lambda), -inf at 0, for a spectrum in [0, inf); else ``_principal_log``.
+
+    The real log is the real part of the complex one, whose imaginary part is 0 there.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.complex128)
+    if lam.imag.any() or (lam.real < 0).any():
+        return _principal_log(lam)
+    with np.errstate(divide="ignore"):
+        return np.log(lam.real)
+
+
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise DomainError(f"{what} has non-finite entries (overflowed powers)")
@@ -117,30 +133,33 @@ def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
     alpha nears 0 and the result keeps full relative precision there. Returns
     L where |z| < eps, where expm1(z) / z is 1 to rounding (and dividing by a
     subnormal z would overflow), and 0 where Re alpha = -inf (a zero
-    eigenvalue); raises DomainError when a value overflows.
+    eigenvalue); raises DomainError when a value overflows. The result keeps
+    alpha's dtype, so the log of a spectrum in [0, inf) gives a real array.
     """
     L = _window_length(L)
     with np.errstate(over="ignore", invalid="ignore"):
         z = L * alpha
         tiny = np.abs(z) < np.finfo(np.float64).eps
         out = L * (np.expm1(z) / np.where(tiny, 1.0, z))
-    out = np.where(tiny, complex(L), np.where(alpha.real == -np.inf, 0.0, out))
+    out = np.where(tiny, L, np.where(alpha.real == -np.inf, 0.0, out))
     return _require_finite(out, "window integral")
 
 
-def _power_profile(eigenvalues: np.ndarray, times) -> np.ndarray:
+def _power_profile(A: SpectralOperator, times) -> np.ndarray:
     """Rows of principal powers: out[i, j] = lambda_j ^ t_i, with 0^0 = 1.
 
-    Raises DomainError for 0^t with t < 0 and when a power overflows.
+    Read off the operator's kept log ``A._log``, so the rows are float64
+    for a spectrum in [0, inf) and complex128 otherwise. Raises DomainError
+    for 0^t with t < 0 and when a power overflows.
     """
-    lam = np.asarray(eigenvalues, dtype=np.complex128)
+    log = A._log
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    zero = lam == 0
+    zero = log.real == -np.inf
     has_zero = zero.any()
     if has_zero and (t < 0).any():
         raise DomainError("0^t is undefined for t < 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(np.multiply.outer(t, _principal_log(lam)))
+        out = np.exp(np.multiply.outer(t, log))
     if has_zero:
         out[:, zero] = 0.0
         out[np.ix_(t == 0.0, zero)] = 1.0
@@ -159,8 +178,11 @@ def pair_integral(lam: complex, mu: complex, L: float) -> complex:
 
 
 def pair_integral_matrix(eigenvalues: np.ndarray, L: float) -> np.ndarray:
-    """Matrix P with P[j, k] = pair_integral(lambda_j, lambda_k, L)."""
-    log = _principal_log(eigenvalues)
+    """Matrix P with P[j, k] = pair_integral(lambda_j, lambda_k, L).
+
+    float64 when every eigenvalue is real and nonnegative, complex128 otherwise.
+    """
+    log = _spectrum_log(eigenvalues)
     return _window_integral(log[:, None] + np.conj(log)[None, :], L)
 
 
@@ -305,6 +327,13 @@ class SpectralOperator:
             tuple(blocks),
         )
 
+    @cached_property
+    def _log(self) -> np.ndarray:
+        """The spectrum's principal log (``_spectrum_log``), read-only, laid out on first read."""
+        log = _spectrum_log(self.eigenvalues)
+        log.setflags(write=False)
+        return log
+
     def from_eigenbasis(self, coords: np.ndarray) -> np.ndarray:
         c = np.asarray(coords, dtype=np.complex128)
         if c.shape[-1] != self.dimension:
@@ -313,9 +342,12 @@ class SpectralOperator:
             )
         if self.eigenbasis is None:
             return c.copy()
-        if np.isrealobj(self.eigenbasis):
-            return _real_basis_product(c, self.eigenbasis.T)
-        return c @ self.eigenbasis.T
+        return _product(c, self.eigenbasis.T)
+
+
+def _product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """v @ U for complex v, as ``_real_basis_product`` when U is real."""
+    return _real_basis_product(v, U) if np.isrealobj(U) else v @ U
 
 
 def _real_basis_product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -469,7 +501,7 @@ def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray
     t < 0 and when a power overflows.
     """
     fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
-    return A.from_eigenbasis(_power_profile(A.eigenvalues, times) * fh)
+    return A.from_eigenbasis(_power_profile(A, times) * fh)
 
 
 # ---------------------------------------------------------------------------

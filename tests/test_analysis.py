@@ -231,6 +231,9 @@ def test_frame_bounds_rejects_bad_input():
         frame_bounds(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         frame_bounds(-np.eye(3))
+    # a typed error that names the input, not numpy's zero-size reduction error
+    with pytest.raises(DimensionMismatch, match="frame_bounds input is empty"):
+        frame_bounds(np.zeros((0, 0)))
 
 
 def _verdict(S):

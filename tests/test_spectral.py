@@ -1,7 +1,10 @@
 import cmath
+import itertools
 import json
 import math
 import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +23,15 @@ from dynframes.discretize import (
     window_scan,
 )
 from dynframes.errors import DimensionMismatch, DomainError
-from dynframes.gram import TimeGrid, bessel_sum, quadrature_gram, semicont_gram
+from dynframes.gram import TimeGrid, _power_sum, bessel_sum, quadrature_gram, semicont_gram
 from dynframes.reconstruct import heat_cycle_operator, reconstruct, sample
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
+    _power_profile,
+    _principal_log,
     _real_basis_product,
+    _window_integral,
     apply_power_batch,
     default_tolerance,
     group_eigenspaces,
@@ -238,6 +244,106 @@ def test_power_integral_is_pair_integral_with_one(z, ell):
     b = abs(pair_integral(z, 1.0, ell))
     assert m == M
     assert abs(m - b) <= 1e-13 * max(1.0, b)
+
+
+# ---------------------------------------------------------------------------
+# a spectrum in [0, inf) takes real power kernels
+
+
+def _complex_route(lam):
+    """An operator stand-in whose kept log is the complex principal log."""
+    return types.SimpleNamespace(_log=_principal_log(lam))
+
+
+def _within_ulps(real, cplx):
+    return bool(np.all(np.abs(real - cplx) <= 4 * np.finfo(np.float64).eps * np.abs(cplx)))
+
+
+# e^x over sixty e-folds, exact zeros and ones, and exact ties
+real_spectra = st.lists(
+    st.one_of(st.floats(-30.0, 30.0).map(math.exp), st.just(0.0), st.just(1.0)),
+    min_size=1,
+    max_size=10,
+).map(lambda v: v + v[: len(v) // 2])
+
+
+def test_power_kernels_are_real_for_a_heat_cycle():
+    A = heat_cycle_operator(8, 1.0)
+    M = _power_profile(A, np.arange(16) / 16)
+    assert A._log.dtype == M.dtype == np.float64
+    assert not A._log.flags.writeable
+    assert pair_integral_matrix(A.eigenvalues, 1.0).dtype == np.float64
+    assert _power_sum(M).dtype == np.float64
+
+
+@pytest.mark.parametrize("lam", [[0.5, -1.0], [0.5, 1j]], ids=["minus_one", "non_real"])
+def test_power_kernels_stay_complex_off_the_half_line(lam):
+    A = SpectralOperator(lam)
+    M = _power_profile(A, [0.0, 0.5, 1.0])
+    P = pair_integral_matrix(A.eigenvalues, 2.0)
+    assert M.dtype == P.dtype == _power_sum(M).dtype == np.complex128
+    if lam[1] == -1.0:
+        # arg(-1) = -pi: (-1)^(1/2) = -i, and conj(-1)^t cancels (-1)^t
+        assert abs(M[1, 1] - (-1j)) < 1e-15
+        assert P[1, 1] == 2.0
+
+
+@given(lam=real_spectra, t=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5))
+@example(lam=[0.0, 1.0, 0.0], t=[0.0, 1.0])
+def test_real_power_profile_agrees_with_the_complex_route(lam, t):
+    A = SpectralOperator(lam)
+    real = _power_profile(A, t)
+    cplx = _power_profile(_complex_route(lam), t)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert _within_ulps(real, cplx)
+    zero = np.asarray(lam) == 0
+    # 0^0 = 1 and 0^t = 0 for t > 0
+    assert np.array_equal(real[:, zero], np.repeat(np.asarray(t)[:, None] == 0, zero.sum(), 1))
+    if zero.any():
+        for B in (A, _complex_route(lam)):
+            with pytest.raises(DomainError, match="0\\^t is undefined"):
+                _power_profile(B, [*t, -0.5])
+
+
+@given(lam=real_spectra, L=st.floats(0.01, 10.0))
+@example(lam=[1.0, 1.0, 0.0], L=3.0)
+def test_real_pair_integrals_agree_with_the_complex_route(lam, L):
+    P = pair_integral_matrix(lam, L)
+    log = _principal_log(lam)
+    Q = _window_integral(log[:, None] + np.conj(log)[None, :], L)
+    assert P.dtype == np.float64 and Q.dtype == np.complex128
+    assert _within_ulps(P, Q)
+    lam = np.asarray(lam)
+    zero, one = lam == 0, lam == 1
+    assert not P[zero].any() and not P[:, zero].any()
+    assert np.all(P[np.ix_(one, one)] == L)  # alpha = 0 exactly
+    # tied eigenvalues give equal rows
+    assert all(np.array_equal(P[j], P[k]) for j, k in itertools.combinations(range(lam.size), 2)
+               if lam[j] == lam[k])
+
+
+# below and above ln(max float) = 709.78, away from the last ulps of the threshold
+near_overflow = st.one_of(st.floats(690.0, 709.7), st.floats(709.9, 730.0))
+
+
+@given(s=st.floats(0.5, 30.0), c=near_overflow)
+def test_powers_near_overflow_agree_or_raise_on_both_routes(s, c):
+    # t ln(lambda) = c for the power, L (2 ln lambda) = c for the window
+    # integral; a RuntimeWarning fails the test, so overflow stays silent
+    lam = [math.exp(s), 0.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for route in (SpectralOperator(lam), _complex_route(lam)):
+            kernels = (
+                lambda: _power_profile(route, [0.0, c / s]),
+                lambda: _window_integral(route._log[:, None] + np.conj(route._log), c / (2 * s)),
+            )
+            for kernel in kernels:
+                if c > 709.8:
+                    with pytest.raises(DomainError, match="overflowed powers"):
+                        kernel()
+                else:
+                    assert np.isfinite(kernel()).all()
 
 
 # ---------------------------------------------------------------------------
