@@ -7,13 +7,16 @@ them against a cyclic Jacobi solver and a 40-digit mpmath eigensolve.
 The spanning test ranks the generators' eigen-coordinates group by group,
 on the eigenvalue groups its operator lays out once; coordinates with no
 imaginary part go to LAPACK as real arrays, so the dtype follows the data.
+A block with one row or column is ranked by whether it is nonzero, with no
+SVD, and the certificate builds each ``GroupRank`` only when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,9 +74,47 @@ class GroupRank(NamedTuple):
     achieved: int
 
 
+class _GroupRanks(Sequence):
+    """The ``GroupRank``s of the operator's kept groups and one call's read-only
+    rank array, each built when read. Equal to, and hashed like, their tuple;
+    a slice is such a tuple.
+    """
+
+    __slots__ = ("_values", "_indices", "_sizes", "_achieved")
+
+    def __init__(self, values, indices, sizes, achieved):
+        self._values, self._indices, self._sizes, self._achieved = values, indices, sizes, achieved
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        return GroupRank(self._values[k], self._indices[k], int(self._sizes[k]),
+                         int(self._achieved[k]))
+
+    def __iter__(self):
+        return map(GroupRank._make, zip(self._values, self._indices, self._sizes.tolist(),
+                                        self._achieved.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _GroupRanks)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class CompletenessCertificate:
-    groups: tuple
+    """Whether the orbit spans; ``groups``, a tuple or a lazy view, ranks each group."""
+
+    groups: Sequence
     complete: bool
 
     def to_dict(self) -> dict:
@@ -150,10 +191,15 @@ def _svd_rank(B: np.ndarray) -> np.ndarray:
     """Rank of each matrix in the stack B.
 
     The count of its singular values above rank_tolerance_factor() times its
-    largest, 0 for an all-zero matrix.
+    largest, 0 for an all-zero matrix. A matrix with one row or column has
+    one singular value s, its norm, and s > factor * s exactly when an entry
+    is nonzero (and the factor is below 1): no SVD, and no norm to overflow.
     """
+    factor = rank_tolerance_factor()
+    if min(B.shape[-2:]) == 1:
+        return (B.any(axis=(-2, -1)) & (factor < 1)).astype(np.intp)
     svals = np.linalg.svd(B, compute_uv=False)
-    return np.count_nonzero(svals > rank_tolerance_factor() * svals[..., :1], axis=-1)
+    return np.count_nonzero(svals > factor * svals[..., :1], axis=-1)
 
 
 def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertificate:
@@ -163,9 +209,11 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     every eigenvalue group, the projected generators already span that
     group's eigenspace. Each group's rank is the count of its block's
     singular values above the relative rank cutoff, read at call time; the
-    blocks of all groups of one size go to LAPACK as one stack. The groups,
-    their sizes and the rows each block gathers are laid out once per
-    operator, so a call does only the work that depends on G. Eigen-
+    blocks of all groups of one size go to LAPACK as one stack, and blocks
+    with one row or column are ranked by whether they are nonzero. The
+    groups, their sizes and the rows each block gathers are laid out once
+    per operator, so a call does only the work that depends on G, and the
+    certificate reads its rank array when a group is read. Eigen-
     coordinates with no imaginary part (a real basis and real generators)
     are ranked in real arithmetic.
     """
@@ -173,13 +221,13 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     if not ghat_t.imag.any():
         ghat_t = ghat_t.real
     values, indices, sizes, blocks = A._eigenspaces
-    achieved = np.empty(len(sizes), dtype=int)
+    achieved = np.empty(sizes.size, dtype=np.intp)
     for which, rows in blocks:
         # (k, size, |G|): row i of a block is eigen-coordinate i of every generator
         achieved[which] = _svd_rank(ghat_t[rows])
-    achieved = achieved.tolist()
-    entries = tuple(map(GroupRank._make, zip(values, indices, sizes, achieved)))
-    return CompletenessCertificate(entries, tuple(achieved) == sizes)
+    achieved.setflags(write=False)
+    groups = _GroupRanks(values, indices, sizes, achieved)
+    return CompletenessCertificate(groups, bool((achieved == sizes).all()))
 
 
 def brute_force_completeness(

@@ -82,6 +82,8 @@ class Samples(Sequence):
     def from_records(cls, records: Sequence, generators: int) -> "Samples":
         """The records of ``generators`` generators, one per generator/time pair, in any order."""
         m, count = generators, len(records)
+        if not count:
+            raise ValueError("no samples given")
 
         def read(name):  # attrgetter reads in C; a generator runs a frame per record
             return map(operator.attrgetter(name), records)

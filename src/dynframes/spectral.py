@@ -266,34 +266,43 @@ class SpectralOperator:
         """Coordinates of vectors (last axis = C^d index) in the eigenbasis.
 
         Every state and generator enters the computations here, so this is
-        where a NaN or inf vector is rejected with ``ValueError``. When at
-        most a quarter of the coordinates are nonzero in some vector, only
-        those basis rows enter the product, so one-hot sensors cost a row
-        gather.
+        where a NaN or inf vector is rejected with ``ValueError``, and
+        coordinates that overflow raise ``DomainError``. When at most a
+        quarter of the coordinates are nonzero in some vector, only those
+        basis rows enter the product, so one-hot sensors cost a row gather.
         """
         v = np.asarray(vecs, dtype=np.complex128)
         d = self.dimension
         if v.shape[-1] != d:
             raise DimensionMismatch(f"vector length {v.shape[-1]} does not match dimension {d}")
-        if not np.isfinite(v).all():
-            raise ValueError("vectors must be finite")
         U = self.eigenbasis
         if U is None:
-            return v.copy()
-        if np.count_nonzero(v) < v.size:
-            # a column that is zero in every vector adds nothing
-            nz = np.flatnonzero(v.reshape(-1, d).any(axis=0))
-            # the gather copies those rows of U, so it pays once most drop out: on one
-            # BLAS thread, for 1-3 vectors at d = 512 and 2048, half the rows are no
-            # faster than the full product and a quarter take 0.35-0.75 of its time
-            if nz.size <= d // 4:
-                v, U = v[..., nz], U[nz]
-        if np.isrealobj(U):
-            return _real_basis_product(v, U)
-        # conj(conj(v) U) equals v conj(U) bit for bit, up to the sign of
-        # zero parts, and copies v instead of the d x d basis
-        out = np.conj(v) @ U
-        return np.conj(out, out=out)
+            out = v.copy()
+        else:
+            if np.count_nonzero(v) < v.size:
+                # a column that is zero in every vector adds nothing
+                nz = np.flatnonzero(v.reshape(-1, d).any(axis=0))
+                # the gather copies those rows of U, so it pays once most drop out: on one
+                # BLAS thread, for 1-3 vectors at d = 512 and 2048, half the rows are no
+                # faster than the full product and a quarter take 0.35-0.75 of its time
+                if nz.size <= d // 4:
+                    v, U = v[..., nz], U[nz]
+            # finite vectors can still overflow in the product
+            with np.errstate(over="ignore", invalid="ignore"):
+                if np.isrealobj(U):
+                    out = _real_basis_product(v, U)
+                else:
+                    # conj(conj(v) U) equals v conj(U) bit for bit, up to the sign of
+                    # zero parts, and copies v instead of the d x d basis
+                    out = np.conj(v) @ U
+                    np.conj(out, out=out)
+        # one test on the result: a NaN or inf entry of v meets a nonzero basis row (the
+        # gather keeps its column), so only then does v tell a bad input from overflow
+        if not np.isfinite(out).all():
+            if not np.isfinite(v).all():
+                raise ValueError("vectors must be finite")
+            raise DomainError("eigen-coordinates have non-finite entries (overflow)")
+        return out
 
     @cached_property
     def _eigenspaces(self) -> tuple:
@@ -302,10 +311,10 @@ class SpectralOperator:
         They depend only on the eigenvalues and the tolerance, both fixed at
         construction, and are freed with the operator. In order of first
         index, (values, indices, sizes, blocks): each group's eigenvalue at
-        its first index, its indices in ascending order and their count, and
-        one (groups, rows) pair of read-only arrays per group size, the
-        numbers of the groups of that size and a (k, size) array whose row i
-        lists the indices of the i-th of them.
+        its first index, its indices in ascending order, a read-only int
+        array of their counts, and one (groups, rows) pair of read-only
+        arrays per group size, the numbers of the groups of that size and a
+        (k, size) array whose row i lists the indices of the i-th of them.
         """
         labels = group_eigenspaces(self)
         sizes = np.bincount(labels)
@@ -320,12 +329,9 @@ class SpectralOperator:
             rows.setflags(write=False)
             blocks.append((which, rows))
         flat = members.tolist()
-        return (
-            tuple(self.eigenvalues[members[start]].tolist()),
-            tuple(tuple(flat[i:i + n]) for i, n in zip(start.tolist(), sizes.tolist())),
-            tuple(sizes.tolist()),
-            tuple(blocks),
-        )
+        indices = tuple(tuple(flat[i:i + n]) for i, n in zip(start.tolist(), sizes.tolist()))
+        sizes.setflags(write=False)
+        return tuple(self.eigenvalues[members[start]].tolist()), indices, sizes, tuple(blocks)
 
     @cached_property
     def _log(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 from dynframes.analysis import (
     FRAME,
     INCOMPLETE,
+    CompletenessCertificate,
+    GroupRank,
+    _svd_rank,
     bessel_check_fd,
     bessel_upper_constant,
     brute_force_completeness,
@@ -531,6 +535,196 @@ def test_imaginary_eigen_coordinates_count_toward_the_rank():
         A = SpectralOperator(np.ones(2), basis)
         G = VectorSet(A.from_eigenbasis(np.array([[1.0, 0.0], [0.0, 1.0j]])))
         assert completeness_check(A, G).groups[0].achieved == 2
+
+
+def test_certificate_groups_equal_and_hash_like_their_tuple():
+    A = heat_cycle_operator(16, 1.0)
+    cert = completeness_check(A, VectorSet(np.eye(16)[[3, 5]]))
+    groups = cert.groups
+    entries = tuple(groups)
+    assert not isinstance(groups, tuple) and len(groups) == len(entries) == 9
+    # a certificate built from the tuple, as the per-group oracle builds it
+    built = CompletenessCertificate(entries, cert.complete)
+    assert cert == built and built == cert
+    assert not cert != built and not built != cert
+    assert hash(cert) == hash(built)
+    assert groups == entries and entries == groups
+    assert hash(groups) == hash(entries)
+    assert repr(cert) == repr(built)
+    assert cert.to_dict() == built.to_dict()
+    # like a tuple, the view is not equal to a list of the same items
+    assert groups != list(entries) and list(entries) != groups
+    # a certificate of other ranks differs, in both directions
+    other = completeness_check(A, VectorSet(np.eye(16)[[3, 11]]))
+    assert other.groups != groups and entries != other.groups
+    assert other != cert and built != other
+
+
+def test_certificate_groups_index_slice_and_replace_like_a_tuple():
+    A = heat_cycle_operator(16, 1.0)
+    cert = completeness_check(A, VectorSet(np.eye(16)[[3, 5]]))
+    groups = cert.groups
+    entries = tuple(groups)
+    assert all(type(g) is GroupRank for g in groups)
+    assert all(type(g.achieved) is int and type(g.required) is int for g in groups)
+    assert type(groups[0].achieved) is int and type(groups[-1].required) is int
+    for k in range(-9, 9):
+        assert groups[k] == entries[k]
+    for k in (9, -10):
+        with pytest.raises(IndexError):
+            groups[k]
+    for cut in (slice(2, None), slice(None, -3), slice(None, None, -2), slice(4, 2)):
+        assert type(groups[cut]) is tuple and groups[cut] == entries[cut]
+    assert entries[4] in groups and groups.index(entries[4]) == 4
+    assert tuple(reversed(groups)) == entries[::-1]
+    # a changed group goes into a new certificate as a tuple, kept as it is
+    grp = groups[1]
+    changed = grp._replace(achieved=2 - grp.achieved)
+    assert type(changed.achieved) is int and changed.indices == grp.indices
+    replaced_groups = (groups[0], changed, *groups[2:])
+    replaced = dataclasses.replace(cert, groups=replaced_groups)
+    assert replaced.groups is replaced_groups
+    assert replaced != cert and replaced.groups[1] == changed
+    flipped = dataclasses.replace(cert, complete=not cert.complete)
+    assert flipped.groups is groups and flipped != cert
+
+
+def test_certificate_groups_cannot_be_written_to():
+    A = heat_cycle_operator(16, 1.0)
+    cert = completeness_check(A, VectorSet(np.eye(16)[[3, 5]]))
+    groups = cert.groups
+    before = tuple(groups)
+    with pytest.raises(TypeError):
+        groups[0] = before[1]
+    with pytest.raises(TypeError):
+        del groups[0]
+    with pytest.raises(AttributeError):
+        groups.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.groups = before
+    # the ranks it reads are one read-only array
+    with pytest.raises(ValueError, match="read-only"):
+        groups._achieved[0] = 0
+    assert tuple(groups) == before
+
+
+def _svd_count(B):
+    """Rank of each matrix in B by the singular value count, without shortcuts."""
+    svals = np.linalg.svd(B, compute_uv=False)
+    return np.count_nonzero(svals > rank_tolerance_factor() * svals[..., :1], axis=-1)
+
+
+def _rank_one_stack(k, rng, dtype):
+    """Blocks of k entries: zeros, -0.0, subnormals, entries near 1e308, mixtures."""
+    rows = [
+        np.zeros(k),
+        np.full(k, -0.0),
+        np.where(np.arange(k) % 2, 0.0, -0.0),
+        np.full(k, 5e-324),
+        np.full(k, -5e-324),
+        np.full(k, 1e308 / math.sqrt(k)),
+        np.full(k, -1.7e308 / k),
+        rng.normal(size=k),
+    ]
+    for j in range(k):
+        for x in (5e-324, -5e-324, 1.7e308, -1e308, 1.0):
+            row = np.where(np.arange(k) % 2, 0.0, -0.0)
+            row[j] = x
+            rows.append(row)
+    sparse = rng.normal(size=(8, k))
+    sparse[rng.random((8, k)) < 0.6] = 0.0
+    rows += list(sparse)
+    B = np.array(rows)
+    if dtype is complex:
+        # the same blocks on the imaginary axis, then with both parts, scaled
+        # so that no block's norm overflows
+        B = np.concatenate((B.astype(complex), 1j * B, 0.6 * B + 0.6j * B[::-1]))
+        B[-1] = 0.0 + 5e-324j
+        B[-2] = -0.0 - 0.0j
+    return B
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_rank_one_blocks_rank_like_the_svd_count(k, dtype):
+    # a block with one row or one column is ranked by whether it is nonzero;
+    # that matches the singular value count on 1 x k and k x 1 stacks
+    rows = _rank_one_stack(k, np.random.default_rng(k), dtype)
+    for B in (rows[:, None, :], rows[:, :, None]):
+        want = _svd_count(B)
+        got = _svd_rank(B)
+        assert got.tolist() == want.tolist()
+        assert 0 < want.sum() < len(want)
+        # one block at a time, as brute_force_completeness passes its matrix
+        for block, rank in zip(B, want.tolist()):
+            assert int(_svd_rank(block)) == rank and np.ndim(_svd_rank(block)) == 0
+
+
+def test_rank_one_blocks_run_no_svd():
+    B = _rank_one_stack(3, np.random.default_rng(0), complex)
+    want = [_svd_count(B[:, None, :]), _svd_count(B[:, :, None])]
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD called")):
+        got = [_svd_rank(B[:, None, :]), _svd_rank(B[:, :, None])]
+        with pytest.raises(AssertionError, match="SVD called"):
+            _svd_rank(np.ones((4, 2, 2)))
+    assert [r.tolist() for r in got] == [r.tolist() for r in want]
+
+
+def test_rank_one_blocks_keep_the_svd_count_at_any_cutoff(monkeypatch):
+    # a cutoff factor of 1 or more leaves no singular value above it
+    B = np.array([[[1.0, 0.0]], [[0.0, 0.0]], [[5e-324, 2.0]]])
+    for factor in ("0.5", "1", "2"):
+        monkeypatch.setenv("DYNSAMP_TOL", factor)
+        assert _svd_rank(B).tolist() == _svd_count(B).tolist()
+        assert _svd_rank(B.transpose(0, 2, 1)).tolist() == _svd_count(B).tolist()
+    assert _svd_rank(B).tolist() == [0, 0, 0]
+
+
+def test_rank_one_block_whose_norm_overflows_has_rank_one():
+    # the SVD's one singular value, the norm, overflows to inf and fails
+    # inf > factor * inf; the nonzero test still sees a rank-one block
+    for B in (np.full((1, 2, 1), 1.7e308), np.full((1, 1, 2), -1.7e308)):
+        assert np.isinf(np.linalg.svd(B, compute_uv=False)).all()
+        assert _svd_rank(B).tolist() == [1]
+
+
+def test_completeness_ranks_one_dimensional_and_zero_blocks():
+    # single eigenvalues give 1 x |G| blocks and a double eigenvalue with one
+    # generator a 2 x 1 block; zero coordinates leave those groups rank 0
+    A = SpectralOperator(np.array([1.0, 0.5, 0.5, 0.25, 0.125]))
+    G = VectorSet(np.array([[1.0, 0.0, 2.0, -0.0, 5e-324]]))
+    cert = completeness_check(A, G)
+    assert [(g.indices, g.required, g.achieved) for g in cert.groups] == [
+        ((0,), 1, 1), ((1, 2), 2, 1), ((3,), 1, 0), ((4,), 1, 1)]
+    assert not cert.complete and cert == completeness_per_group(A, G)
+    assert brute_force_completeness(SpectralOperator([0.5]), VectorSet([[2.0]]), 1.0, 1)
+    assert not brute_force_completeness(SpectralOperator([0.5]), VectorSet([[0.0]]), 1.0, 1)
+
+
+def test_overflowed_eigen_coordinates_raise_domain_error():
+    # finite generators whose eigen-coordinates overflow: (1.7e308, 1.7e308)
+    # on the basis (1, 1)/sqrt 2, (1, -1)/sqrt 2 has first coordinate 2.4e308
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    G = VectorSet(np.array([[1.7e308, 1.7e308]]))
+    one_hot_nan = np.zeros(16)
+    one_hot_nan[5] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for basis in (H, H * np.array([1.0, 1j])):
+            A = SpectralOperator(np.array([0.5, 0.7]), basis)
+            for call in (completeness_check, bessel_check_fd, lambda A, G: A.to_eigenbasis(G.vectors)):
+                with pytest.raises(DomainError,
+                                   match=r"^eigen-coordinates have non-finite entries \(overflow\)$"):
+                    call(A, G)
+            # a NaN or inf input is still the input's fault
+            for bad in ([np.nan, 0.0], [np.inf, -np.inf], [1.7e308, np.inf]):
+                with pytest.raises(ValueError, match="^vectors must be finite$"):
+                    A.to_eigenbasis(np.array(bad))
+            # at 1e308 and 0 the coordinates, about 7.1e307 each, are finite
+            assert completeness_check(A, VectorSet(np.array([[1e308, 0.0]]))).complete
+        # also when the row gather keeps only the bad entry's basis row
+        with pytest.raises(ValueError, match="^vectors must be finite$"):
+            heat_cycle_operator(16, 1.0).to_eigenbasis(one_hot_nan)
 
 
 def test_frame_implies_complete():

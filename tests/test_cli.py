@@ -103,6 +103,21 @@ def test_overflow_is_a_domain_error_in_bessel_and_lscan(tmp_path, capsys, comman
     assert err.startswith("error:") and "non-finite" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_complete_reports_overflowed_eigen_coordinates(tmp_path, capsys, fmt):
+    # finite generators whose eigen-coordinates overflow are an error, not a
+    # rank 0 for the group the overflow hit
+    op = tmp_path / "op.json"
+    vec = tmp_path / "vec.json"
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    save_operator(SpectralOperator(np.array([0.5, 0.7]), H), op)
+    save_vectors(VectorSet(np.array([[1.7e308, 1.7e308]])), vec)
+    code = main(["complete", "--op", str(op), "--vectors", str(vec), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: eigen-coordinates have non-finite entries (overflow)\n"
+
+
 def test_analyze_overflowed_gram_exit_code(tmp_path, capsys):
     op = tmp_path / "op.json"
     vec = tmp_path / "vec.json"

@@ -428,6 +428,15 @@ def test_reconstruct_coverage_validation():
         reconstruct(A, G, recs, mode="riemann")
 
 
+def test_samples_from_no_records_is_a_named_error():
+    # records of no generator/time pair name the empty input, whatever the
+    # generator count, before any array is reduced
+    for records in ([], (), Samples(np.empty((2, 0)), np.empty(0))):
+        for generators in (1, 2):
+            with pytest.raises(ValueError, match="^no samples given$"):
+                Samples.from_records(records, generators)
+
+
 def test_reconstruct_ignores_record_order():
     rng = np.random.default_rng(127)
     A = random_normal_operator(rng, 5)

@@ -20,6 +20,11 @@ The corpus runs:
   real chain of near ties, a complex cluster, a vertical chain and a zero
   eigenvalue, with four random generators, so eigenvalue grouping is
   covered;
+- ``complete`` in each format on a diagonal operator with single, double
+  and triple eigenvalues and one generator that is exactly zero (or -0.0)
+  on some of them, so blocks with one row or column are ranked, some
+  groups report rank 0/1 and some 1/2;
+- ``complete`` on finite generators whose eigen-coordinates overflow;
 - deep grid searches: ``discretize`` on 8 unit-circle rotations in a random
   basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
   0.99 in each format (6 doublings), once with ``--max-points 48``,
@@ -104,6 +109,15 @@ lam = np.concatenate((1 + 0.6e-10 * np.arange(6),
 D.save_operator(D.SpectralOperator(lam), "groups.json")
 D.save_vectors(D.VectorSet(rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))),
                "groups-vectors.json")
+# one generator on single, double and triple eigenvalues, zero on some groups
+lam = np.array([1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.125, 2.0, 2.0, 0.75, 0.0])
+D.save_operator(D.SpectralOperator(lam), "zeros.json")
+D.save_vectors(D.VectorSet(np.array([[1.0, 0.0, -2.0, 0.0, -0.0, 0.0, 0.0, 0.0, 3.0, -0.0, 0.5]])),
+               "zeros-vectors.json")
+# finite generators whose eigen-coordinates overflow
+H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+D.save_operator(D.SpectralOperator(np.array([0.5, 0.7]), H), "overflow.json")
+D.save_vectors(D.VectorSet(np.array([[1.7e308, 1.7e308]])), "overflow-vectors.json")
 """
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
@@ -138,6 +152,9 @@ def corpus() -> list:
         argv = ["complete", "--op", "groups.json", "--vectors", "groups-vectors.json",
                 "--format", fmt]
         runs.append((f"complete groups {fmt}", argv, {}))
+        argv = ["complete", "--op", "zeros.json", "--vectors", "zeros-vectors.json",
+                "--format", fmt]
+        runs.append((f"complete zeros {fmt}", argv, {}))
     runs += [
         ("analyze readme --L inf", ["analyze", *readme, "--L", "inf"], {}),
         ("analyze readme quadrature --L inf",
@@ -149,6 +166,8 @@ def corpus() -> list:
          ["analyze", *readme, "--L", "1", "--out", "missing/out.txt"], {}),
         ("complete readme DYNSAMP_TOL=inf", ["complete", *readme], {"DYNSAMP_TOL": "inf"}),
         ("complete readme DYNSAMP_TOL=1e-6", ["complete", *readme], {"DYNSAMP_TOL": "1e-6"}),
+        ("complete overflow", ["complete", "--op", "overflow.json",
+                               "--vectors", "overflow-vectors.json"], {}),
         ("complete missing op file", ["complete", "--op", "missing.json",
                                       "--vectors", "readme-vectors.json"], {}),
         ("reconstruct readme --noise -1", ["reconstruct", *readme, "--L", "1", "--noise", "-1"], {}),
