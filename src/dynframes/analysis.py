@@ -8,15 +8,15 @@ The spanning test ranks the generators' eigen-coordinates group by group,
 on the eigenvalue groups its operator lays out once; coordinates with no
 imaginary part go to LAPACK as real arrays, so the dtype follows the data.
 A block with one row or column is ranked by whether it is nonzero, with no
-SVD, and the certificate builds each ``GroupRank`` only when it is read.
+SVD.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,47 +74,9 @@ class GroupRank(NamedTuple):
     achieved: int
 
 
-class _GroupRanks(Sequence):
-    """The ``GroupRank``s of the operator's kept groups and one call's read-only
-    rank array, each built when read. Equal to, and hashed like, their tuple;
-    a slice is such a tuple.
-    """
-
-    __slots__ = ("_values", "_indices", "_sizes", "_achieved")
-
-    def __init__(self, values, indices, sizes, achieved):
-        self._values, self._indices, self._sizes, self._achieved = values, indices, sizes, achieved
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self)[k]
-        return GroupRank(self._values[k], self._indices[k], int(self._sizes[k]),
-                         int(self._achieved[k]))
-
-    def __iter__(self):
-        return map(GroupRank._make, zip(self._values, self._indices, self._sizes.tolist(),
-                                        self._achieved.tolist()))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _GroupRanks)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 @dataclass(frozen=True)
 class CompletenessCertificate:
-    """Whether the orbit spans; ``groups``, a tuple or a lazy view, ranks each group."""
-
-    groups: Sequence
+    groups: tuple
     complete: bool
 
     def to_dict(self) -> dict:
@@ -192,8 +154,12 @@ def _svd_rank(B: np.ndarray) -> np.ndarray:
 
     The count of its singular values above rank_tolerance_factor() times its
     largest, 0 for an all-zero matrix. A matrix with one row or column has
-    one singular value s, its norm, and s > factor * s exactly when an entry
-    is nonzero (and the factor is below 1): no SVD, and no norm to overflow.
+    rank 1 exactly when an entry is nonzero and the factor is below 1, and
+    is ranked that way, with no SVD. Its one singular value s, the norm,
+    gives the same count, except where it is not a number to compare: s
+    overflows to inf (inf > factor * inf fails), or factor * s rounds back
+    up to s, which takes a factor within rounding of 1 or a subnormal s
+    (for the smallest, any factor above 1/2).
     """
     factor = rank_tolerance_factor()
     if min(B.shape[-2:]) == 1:
@@ -212,8 +178,7 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     blocks of all groups of one size go to LAPACK as one stack, and blocks
     with one row or column are ranked by whether they are nonzero. The
     groups, their sizes and the rows each block gathers are laid out once
-    per operator, so a call does only the work that depends on G, and the
-    certificate reads its rank array when a group is read. Eigen-
+    per operator, so a call does only the work that depends on G. Eigen-
     coordinates with no imaginary part (a real basis and real generators)
     are ranked in real arithmetic.
     """
@@ -221,13 +186,14 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     if not ghat_t.imag.any():
         ghat_t = ghat_t.real
     values, indices, sizes, blocks = A._eigenspaces
-    achieved = np.empty(sizes.size, dtype=np.intp)
+    achieved = np.empty(len(sizes), dtype=int)
     for which, rows in blocks:
         # (k, size, |G|): row i of a block is eigen-coordinate i of every generator
         achieved[which] = _svd_rank(ghat_t[rows])
-    achieved.setflags(write=False)
-    groups = _GroupRanks(values, indices, sizes, achieved)
-    return CompletenessCertificate(groups, bool((achieved == sizes).all()))
+    achieved = achieved.tolist()
+    # tuple.__new__ is what GroupRank._make calls, here without its Python frame
+    entries = tuple(map(tuple.__new__, repeat(GroupRank), zip(values, indices, sizes, achieved)))
+    return CompletenessCertificate(entries, tuple(achieved) == sizes)
 
 
 def brute_force_completeness(

@@ -311,10 +311,10 @@ class SpectralOperator:
         They depend only on the eigenvalues and the tolerance, both fixed at
         construction, and are freed with the operator. In order of first
         index, (values, indices, sizes, blocks): each group's eigenvalue at
-        its first index, its indices in ascending order, a read-only int
-        array of their counts, and one (groups, rows) pair of read-only
-        arrays per group size, the numbers of the groups of that size and a
-        (k, size) array whose row i lists the indices of the i-th of them.
+        its first index, its indices in ascending order and their count, and
+        one (groups, rows) pair of read-only arrays per group size, the
+        numbers of the groups of that size and a (k, size) array whose row i
+        lists the indices of the i-th of them.
         """
         labels = group_eigenspaces(self)
         sizes = np.bincount(labels)
@@ -329,9 +329,12 @@ class SpectralOperator:
             rows.setflags(write=False)
             blocks.append((which, rows))
         flat = members.tolist()
-        indices = tuple(tuple(flat[i:i + n]) for i, n in zip(start.tolist(), sizes.tolist()))
-        sizes.setflags(write=False)
-        return tuple(self.eigenvalues[members[start]].tolist()), indices, sizes, tuple(blocks)
+        return (
+            tuple(self.eigenvalues[members[start]].tolist()),
+            tuple(tuple(flat[i:i + n]) for i, n in zip(start.tolist(), sizes.tolist())),
+            tuple(sizes.tolist()),
+            tuple(blocks),
+        )
 
     @cached_property
     def _log(self) -> np.ndarray:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from dynframes.analysis import (
     FRAME,
     INCOMPLETE,
-    CompletenessCertificate,
     GroupRank,
     _svd_rank,
     bessel_check_fd,
@@ -537,75 +536,26 @@ def test_imaginary_eigen_coordinates_count_toward_the_rank():
         assert completeness_check(A, G).groups[0].achieved == 2
 
 
-def test_certificate_groups_equal_and_hash_like_their_tuple():
+def test_certificate_groups_are_a_tuple_of_group_ranks():
     A = heat_cycle_operator(16, 1.0)
     cert = completeness_check(A, VectorSet(np.eye(16)[[3, 5]]))
     groups = cert.groups
-    entries = tuple(groups)
-    assert not isinstance(groups, tuple) and len(groups) == len(entries) == 9
-    # a certificate built from the tuple, as the per-group oracle builds it
-    built = CompletenessCertificate(entries, cert.complete)
-    assert cert == built and built == cert
-    assert not cert != built and not built != cert
-    assert hash(cert) == hash(built)
-    assert groups == entries and entries == groups
-    assert hash(groups) == hash(entries)
-    assert repr(cert) == repr(built)
-    assert cert.to_dict() == built.to_dict()
-    # like a tuple, the view is not equal to a list of the same items
-    assert groups != list(entries) and list(entries) != groups
-    # a certificate of other ranks differs, in both directions
-    other = completeness_check(A, VectorSet(np.eye(16)[[3, 11]]))
-    assert other.groups != groups and entries != other.groups
-    assert other != cert and built != other
-
-
-def test_certificate_groups_index_slice_and_replace_like_a_tuple():
-    A = heat_cycle_operator(16, 1.0)
-    cert = completeness_check(A, VectorSet(np.eye(16)[[3, 5]]))
-    groups = cert.groups
-    entries = tuple(groups)
+    assert type(groups) is tuple and len(groups) == 9
     assert all(type(g) is GroupRank for g in groups)
     assert all(type(g.achieved) is int and type(g.required) is int for g in groups)
-    assert type(groups[0].achieved) is int and type(groups[-1].required) is int
-    for k in range(-9, 9):
-        assert groups[k] == entries[k]
-    for k in (9, -10):
-        with pytest.raises(IndexError):
-            groups[k]
-    for cut in (slice(2, None), slice(None, -3), slice(None, None, -2), slice(4, 2)):
-        assert type(groups[cut]) is tuple and groups[cut] == entries[cut]
-    assert entries[4] in groups and groups.index(entries[4]) == 4
-    assert tuple(reversed(groups)) == entries[::-1]
-    # a changed group goes into a new certificate as a tuple, kept as it is
+    # equal to, and hashed like, the certificate the per-group oracle builds
+    built = completeness_per_group(A, VectorSet(np.eye(16)[[3, 5]]))
+    assert cert == built and hash(cert) == hash(built) and repr(cert) == repr(built)
+    assert cert.to_dict() == built.to_dict()
+    # a changed group goes into a new certificate, kept as it is
     grp = groups[1]
     changed = grp._replace(achieved=2 - grp.achieved)
-    assert type(changed.achieved) is int and changed.indices == grp.indices
+    assert type(changed) is GroupRank and changed.indices == grp.indices
     replaced_groups = (groups[0], changed, *groups[2:])
     replaced = dataclasses.replace(cert, groups=replaced_groups)
-    assert replaced.groups is replaced_groups
-    assert replaced != cert and replaced.groups[1] == changed
-    flipped = dataclasses.replace(cert, complete=not cert.complete)
-    assert flipped.groups is groups and flipped != cert
-
-
-def test_certificate_groups_cannot_be_written_to():
-    A = heat_cycle_operator(16, 1.0)
-    cert = completeness_check(A, VectorSet(np.eye(16)[[3, 5]]))
-    groups = cert.groups
-    before = tuple(groups)
-    with pytest.raises(TypeError):
-        groups[0] = before[1]
-    with pytest.raises(TypeError):
-        del groups[0]
-    with pytest.raises(AttributeError):
-        groups.extra = 1
+    assert replaced.groups is replaced_groups and replaced != cert
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cert.groups = before
-    # the ranks it reads are one read-only array
-    with pytest.raises(ValueError, match="read-only"):
-        groups._achieved[0] = 0
-    assert tuple(groups) == before
+        cert.groups = replaced_groups
 
 
 def _svd_count(B):
@@ -673,10 +623,23 @@ def test_rank_one_blocks_run_no_svd():
 def test_rank_one_blocks_keep_the_svd_count_at_any_cutoff(monkeypatch):
     # a cutoff factor of 1 or more leaves no singular value above it
     B = np.array([[[1.0, 0.0]], [[0.0, 0.0]], [[5e-324, 2.0]]])
-    for factor in ("0.5", "1", "2"):
+    for factor in ("0.5", "0.9", "1", "2"):
         monkeypatch.setenv("DYNSAMP_TOL", factor)
         assert _svd_rank(B).tolist() == _svd_count(B).tolist()
         assert _svd_rank(B.transpose(0, 2, 1)).tolist() == _svd_count(B).tolist()
+    assert _svd_rank(B).tolist() == [0, 0, 0]
+
+
+def test_nonzero_subnormal_block_has_rank_one_below_a_factor_of_one(monkeypatch):
+    # 0.5 * 5e-324 rounds (to even) to 0, so the singular value clears that
+    # cutoff; 0.9 * 5e-324 rounds back up to 5e-324, so the count reads 0.
+    # A nonzero block has rank 1 at every factor below 1
+    B = np.array([[[5e-324]], [[0.0]], [[-5e-324]]])
+    for factor, count in (("0.5", [1, 0, 1]), ("0.9", [0, 0, 0])):
+        monkeypatch.setenv("DYNSAMP_TOL", factor)
+        assert _svd_count(B).tolist() == count
+        assert _svd_rank(B).tolist() == [1, 0, 1]
+    monkeypatch.setenv("DYNSAMP_TOL", "1")
     assert _svd_rank(B).tolist() == [0, 0, 0]
 
 
