@@ -156,10 +156,8 @@ def _run_4_4(d: int, L: Optional[float]):
             f"modes beyond n={alive[-1]} sit below the floating-point floor "
             "and are counted as silent"
         )
-    growth = []
-    for dd in (8, 16, 32, d):
-        if dd <= d:
-            growth.append((dd, dd * (dd + 1) * (2 * dd + 1) // 6))
+    growth = [(dd, dd * (dd + 1) * (2 * dd + 1) // 6)
+              for dd in dict.fromkeys((8, 16, 32, d)) if dd <= d]
     ok = ok and all(b[1] > a[1] for a, b in zip(growth, growth[1:]))
     lines.append(
         "generator energy sum n(n+1)(2n+1)/6 grows without bound: "

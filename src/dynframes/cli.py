@@ -42,7 +42,7 @@ from .catalog import repro_catalog, run_entry
 from .discretize import find_discretization, verify_discrete_implies_semicont, window_scan
 from .gram import TimeGrid, quadrature_gram, semicont_gram
 from .reconstruct import Samples, reconstruct, sample
-from .spectral import default_tolerance, load_operator, load_vectors, rank_tolerance_factor
+from .spectral import default_tolerance, load_operator, load_vectors
 
 __all__ = ["main"]
 
@@ -64,9 +64,10 @@ def _load_inputs(args: argparse.Namespace):
         except ValueError as exc:
             raise CLIError(f"invalid {kind} file {path}: {exc}") from None
 
-    # read DYNSAMP_TOL before the files, so that a bad value is not blamed on them
+    # read DYNSAMP_TOL before the files, so that a bad value is not blamed on them;
+    # the grouping and rank tolerances read it alike, so one read validates both
     try:
-        default_tolerance(), rank_tolerance_factor()
+        default_tolerance()
     except ValueError as exc:
         raise CLIError(f"invalid DYNSAMP_TOL: {exc}") from None
     A = read(args.operator_path, load_operator, "op")

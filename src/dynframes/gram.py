@@ -68,7 +68,7 @@ def _check_hermitian(S, label: str) -> np.ndarray:
     return S
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing sample times starting at 0, all below L."""
 
@@ -114,7 +114,7 @@ class TimeGrid:
         return np.diff(np.append(self.times, self.L))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gram:
     """Hermitian Gram S = U hat U*, U the unitary ``eigenbasis`` (None: identity).
 
@@ -158,21 +158,14 @@ def _power_sum(M: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
     sum of squared powers overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        P = (M if w is None else w[:, None] * M).T @ np.conj(M)
+        P = (M if w is None else w[:, None] * M).T @ M.conj()
     return _require_finite(P, "sampled power sum")
-
-
-def _sampled_gram_hat(
-    ghat: np.ndarray, M: np.ndarray, w: Optional[np.ndarray]
-) -> np.ndarray:
-    """Eigen-coordinate Gram of sampled orbits: (ghat^T conj ghat) * ((w M)^T conj M)."""
-    return _hat_weight_matrix(ghat) * _power_sum(M, w)
 
 
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> Gram:
     """Closed-form Gram of the orbit family over [0, L]; DomainError if it overflows."""
     W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
-    P = pair_integral_matrix(A.eigenvalues, L)
+    P = pair_integral_matrix(A, L)
     with np.errstate(over="ignore", invalid="ignore"):
         shat = W * P
     return Gram(shat, "closed_form", A.eigenbasis)
@@ -192,9 +185,8 @@ def discrete_gram(
         w = T.riemann_weights()
     else:
         raise ValueError(f"unknown weighting {weights!r}")
-    ghat = A.to_eigenbasis(G.vectors)
-    M = _power_profile(A, T.times)
-    return Gram(_sampled_gram_hat(ghat, M, w), "discrete", A.eigenbasis)
+    W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
+    return Gram(W * _power_sum(_power_profile(A, T.times), w), "discrete", A.eigenbasis)
 
 
 def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame
 from .analysis import FRAME, frame_bounds
-from .gram import TimeGrid, _sampled_gram_hat
+from .gram import TimeGrid, _hat_weight_matrix, _power_sum
 from .spectral import SpectralOperator, VectorSet, _power_profile, _product
 
 __all__ = [
@@ -127,7 +127,7 @@ class Samples(Sequence):
                                            self.values.ravel().tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     estimate: np.ndarray
     residual: float
@@ -191,9 +191,9 @@ def reconstruct(
         vals = vals * weights
 
     # analysis family in eigencoordinates: psi_hat = conj(lambda^t) * g_hat
-    profile = np.conj(_power_profile(A, times))
+    profile = _power_profile(A, times).conj()
     ghat = A.to_eigenbasis(G.vectors)
-    S_hat = _sampled_gram_hat(ghat, profile, weights)
+    S_hat = _hat_weight_matrix(ghat) * _power_sum(profile, weights)
     b_hat = np.sum(ghat * _product(vals, profile), axis=0)
     report = frame_bounds(S_hat)
     if report.classification != FRAME:

@@ -9,19 +9,20 @@ Two vectorised kernels compute every power and window integral in the
 package: ``_power_profile`` (samples ``lambda^t``) and ``_window_integral``
 (``(e^{L alpha} - 1) / alpha``, through ``expm1``). They are where an
 overflowing power becomes a ``DomainError``. Both work on the spectrum's
-principal log, which an operator lays out once and keeps (``_log``): the
-float64 ``ln lambda`` (-inf at 0) when every eigenvalue is real and
-nonnegative, as for a heat diffusion, so the powers and pair integrals are
-float64 too, and the complex principal log otherwise. ``pair_integral`` is
+principal log, which an operator lays out once and keeps (``_log``). Its
+imaginary part is dropped when it is zero throughout, so a spectrum in
+[0, inf), as of a heat diffusion, gives float64 powers and pair integrals,
+and numpy carries that dtype through every product. ``pair_integral`` is
 the one scalar entry point, kept for single windows such as the Bessel
 constant and the transfer bound.
 
 A basis given with a real dtype (the Fourier basis of a heat diffusion, any
 self-adjoint evolution with real eigenvectors) is stored as float64, a
-complex one as complex128. A real basis takes half the bytes, and each
-product with it is one real matrix product on the stacked real and
-imaginary parts of the vectors, or on the real parts alone when the
-vectors are real. When the vectors are nonzero in at most a quarter of
+complex one as complex128. A real basis takes half the bytes, its
+orthonormality product is a real one (``conj`` returns a real array as it
+is), and each product with it is one real matrix product on the stacked
+real and imaginary parts of the vectors, or on the real parts alone when
+the vectors are real. When the vectors are nonzero in at most a quarter of
 the coordinates, ``to_eigenbasis`` multiplies only those basis rows, so
 one-hot sensors cost a row gather.
 
@@ -100,18 +101,6 @@ def _principal_log(z) -> np.ndarray:
         return np.log(np.abs(z)) + 1j * np.where(arg == np.pi, -np.pi, arg)
 
 
-def _spectrum_log(eigenvalues) -> np.ndarray:
-    """float64 ln(lambda), -inf at 0, for a spectrum in [0, inf); else ``_principal_log``.
-
-    The real log is the real part of the complex one, whose imaginary part is 0 there.
-    """
-    lam = np.asarray(eigenvalues, dtype=np.complex128)
-    if lam.imag.any() or (lam.real < 0).any():
-        return _principal_log(lam)
-    with np.errstate(divide="ignore"):
-        return np.log(lam.real)
-
-
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise DomainError(f"{what} has non-finite entries (overflowed powers)")
@@ -177,16 +166,17 @@ def pair_integral(lam: complex, mu: complex, L: float) -> complex:
     return complex(_window_integral(_principal_log(lam) + np.conj(_principal_log(mu)), L))
 
 
-def pair_integral_matrix(eigenvalues: np.ndarray, L: float) -> np.ndarray:
-    """Matrix P with P[j, k] = pair_integral(lambda_j, lambda_k, L).
+def pair_integral_matrix(A: SpectralOperator, L: float) -> np.ndarray:
+    """Matrix P with P[j, k] = pair_integral(lambda_j, lambda_k, L) over A's spectrum.
 
-    float64 when every eigenvalue is real and nonnegative, complex128 otherwise.
+    Read off the operator's kept log ``A._log``, so float64 for a spectrum
+    in [0, inf) and complex128 otherwise.
     """
-    log = _spectrum_log(eigenvalues)
-    return _window_integral(log[:, None] + np.conj(log)[None, :], L)
+    log = A._log
+    return _window_integral(log[:, None] + log.conj()[None, :], L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralOperator:
     """A normal operator on C^d stored as eigenvalues plus eigenbasis.
 
@@ -213,23 +203,17 @@ class SpectralOperator:
 
         basis = self.eigenbasis
         if basis is not None:
-            real = np.isrealobj(basis)
-            basis = np.asarray(basis, dtype=np.float64 if real else np.complex128)
+            basis = np.asarray(basis, dtype=np.float64 if np.isrealobj(basis) else np.complex128)
             d = lam.size
             if basis.shape != (d, d):
                 raise DimensionMismatch(
                     f"eigenbasis shape {basis.shape} does not match dimension {d}"
                 )
-            # a real basis, stored real or as complex, is checked in real
-            # arithmetic, at a quarter of the flops of the complex product
+            # conj returns a real basis as it is, so its product stays real
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite or huge basis
-                if real:
-                    gram = basis.T @ basis
-                elif basis.imag.any():
-                    gram = basis.conj().T @ basis
-                else:
-                    gram = basis.real.T @ basis.real
-            if not np.max(np.abs(gram - np.eye(d))) <= _ORTHONORMAL_TOL:  # NaN fails too
+                gram = basis.conj().T @ basis
+            gram.flat[:: d + 1] -= 1.0
+            if not np.max(np.abs(gram)) <= _ORTHONORMAL_TOL:  # NaN fails too
                 if not np.isfinite(basis).all():
                     raise ValueError("eigenbasis must be finite")
                 raise ValueError("eigenbasis columns are not orthonormal")
@@ -290,7 +274,7 @@ class SpectralOperator:
             # finite vectors can still overflow in the product
             with np.errstate(over="ignore", invalid="ignore"):
                 if np.isrealobj(U):
-                    out = _real_basis_product(v, U)
+                    out = _product(v, U)
                 else:
                     # conj(conj(v) U) equals v conj(U) bit for bit, up to the sign of
                     # zero parts, and copies v instead of the d x d basis
@@ -338,8 +322,14 @@ class SpectralOperator:
 
     @cached_property
     def _log(self) -> np.ndarray:
-        """The spectrum's principal log (``_spectrum_log``), read-only, laid out on first read."""
-        log = _spectrum_log(self.eigenvalues)
+        """The spectrum's principal log, read-only, laid out on first read.
+
+        float64 (-inf at 0) when every argument is zero, that is for a
+        spectrum in [0, inf); arg(-0.0) = pi, so a -0.0 keeps it complex.
+        """
+        log = _principal_log(self.eigenvalues)
+        if not log.imag.any():
+            log = log.real.copy()
         log.setflags(write=False)
         return log
 
@@ -355,19 +345,16 @@ class SpectralOperator:
 
 
 def _product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """v @ U for complex v, as ``_real_basis_product`` when U is real."""
-    return _real_basis_product(v, U) if np.isrealobj(U) else v @ U
+    """v @ U for complex v; one real product when U is real.
 
-
-def _real_basis_product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """v @ U for complex v and real U as one real product.
-
-    The real and imaginary rows of v are stacked above each other, so U
-    is read once. U stays the right-hand operand: on the left, against
-    the interleaved parts, the product is no faster than the complex one.
-    Real vectors (one-hot sensors, real states) multiply their real rows
-    only.
+    For a real U the real and imaginary rows of v are stacked above each
+    other, so U is read once. U stays the right-hand operand: on the left,
+    against the interleaved parts, the product is no faster than the
+    complex one. Real vectors (one-hot sensors, real states) multiply their
+    real rows only.
     """
+    if not np.isrealobj(U):
+        return v @ U
     rows = v.reshape(math.prod(v.shape[:-1]), v.shape[-1])
     if rows.imag.any():
         n = rows.shape[0]
@@ -379,7 +366,7 @@ def _real_basis_product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
     return out.reshape(*v.shape[:-1], U.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSet:
     """Finite ordered family of vectors in C^d, stored as rows."""
 

@@ -30,7 +30,7 @@ from dynframes.spectral import (
     VectorSet,
     _power_profile,
     _principal_log,
-    _real_basis_product,
+    _product,
     _window_integral,
     apply_power_batch,
     default_tolerance,
@@ -138,7 +138,7 @@ def test_pair_integral_trivial_cases():
         with pytest.raises(DomainError, match="interval length must be positive and finite"):
             pair_integral(lam, lam, math.inf)
     with pytest.raises(DomainError, match="interval length must be positive and finite"):
-        pair_integral_matrix(np.array([0.5, 0.25j]), math.inf)
+        pair_integral_matrix(SpectralOperator([0.5, 0.25j]), math.inf)
 
 
 def test_pair_integral_on_the_cut_is_real_window():
@@ -214,7 +214,7 @@ def test_pair_integral_matrix_matches_scalar():
             [0.0, 1.0, -1.0],
         ]
     )
-    P = pair_integral_matrix(lam, 1.5)
+    P = pair_integral_matrix(SpectralOperator(lam), 1.5)
     for j in range(lam.size):
         for k in range(lam.size):
             assert abs(P[j, k] - pair_integral(lam[j], lam[k], 1.5)) < 1e-13
@@ -272,7 +272,7 @@ def test_power_kernels_are_real_for_a_heat_cycle():
     M = _power_profile(A, np.arange(16) / 16)
     assert A._log.dtype == M.dtype == np.float64
     assert not A._log.flags.writeable
-    assert pair_integral_matrix(A.eigenvalues, 1.0).dtype == np.float64
+    assert pair_integral_matrix(A, 1.0).dtype == np.float64
     assert _power_sum(M).dtype == np.float64
 
 
@@ -280,12 +280,27 @@ def test_power_kernels_are_real_for_a_heat_cycle():
 def test_power_kernels_stay_complex_off_the_half_line(lam):
     A = SpectralOperator(lam)
     M = _power_profile(A, [0.0, 0.5, 1.0])
-    P = pair_integral_matrix(A.eigenvalues, 2.0)
+    P = pair_integral_matrix(A, 2.0)
     assert M.dtype == P.dtype == _power_sum(M).dtype == np.complex128
     if lam[1] == -1.0:
         # arg(-1) = -pi: (-1)^(1/2) = -i, and conj(-1)^t cancels (-1)^t
         assert abs(M[1, 1] - (-1j)) < 1e-15
         assert P[1, 1] == 2.0
+
+
+def test_negative_zero_eigenvalue_takes_the_complex_route_with_the_same_values():
+    # arg(-0.0) = pi, so -0.0 keeps the log complex; its powers are the +0.0
+    # spectrum's, and its pair integrals too up to the last bits, which
+    # numpy's complex division rounds through a reciprocal
+    pos, neg = SpectralOperator([0.0, 0.5, 1.0, 2.0]), SpectralOperator([-0.0, 0.5, 1.0, 2.0])
+    assert pos._log.dtype == np.float64 and neg._log.dtype == np.complex128
+    t = [0.0, 0.25, 1.0, 1.5]
+    M, P = _power_profile(neg, t), pair_integral_matrix(neg, 1.5)
+    assert M.dtype == P.dtype == np.complex128
+    assert not M.imag.any() and not P.imag.any()
+    assert np.array_equal(M.real, _power_profile(pos, t))
+    real = pair_integral_matrix(pos, 1.5)
+    assert _within_ulps(real, P) and not P[0].any() and not P[:, 0].any()
 
 
 @given(lam=real_spectra, t=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5))
@@ -308,7 +323,7 @@ def test_real_power_profile_agrees_with_the_complex_route(lam, t):
 @given(lam=real_spectra, L=st.floats(0.01, 10.0))
 @example(lam=[1.0, 1.0, 0.0], L=3.0)
 def test_real_pair_integrals_agree_with_the_complex_route(lam, L):
-    P = pair_integral_matrix(lam, L)
+    P = pair_integral_matrix(SpectralOperator(lam), L)
     log = _principal_log(lam)
     Q = _window_integral(log[:, None] + np.conj(log)[None, :], L)
     assert P.dtype == np.float64 and Q.dtype == np.complex128
@@ -433,7 +448,7 @@ def test_operator_validation():
     skew = np.eye(3) * 2.0  # columns not unit norm
     with pytest.raises(ValueError):
         SpectralOperator(np.ones(3), skew)
-    # a real basis stored as complex is checked in real arithmetic
+    # a real basis stored as complex is checked by the complex product
     rng = np.random.default_rng(11)
     Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
     SpectralOperator(np.ones(4), Q.astype(complex))
@@ -442,13 +457,54 @@ def test_operator_validation():
     # an orthonormal real part does not make a basis orthonormal
     with pytest.raises(ValueError):
         SpectralOperator(np.ones(4), Q + 1e-6j * rng.normal(size=(4, 4)))
-    # NaN fails every comparison; a non-finite basis must still be rejected, by name
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="eigenbasis must be finite"):
-            SpectralOperator(np.ones(2), [[bad, 0.0], [0.0, 1.0]])
-    # a basis whose Gram overflows is rejected without a numpy warning
-    with pytest.raises(ValueError, match="not orthonormal"):
-        SpectralOperator(np.ones(2), [[1e200, 0.0], [0.0, 1.0]])
+    # NaN fails every comparison; a non-finite basis must still be rejected, by
+    # name, on the real and on the complex product
+    for dtype in (float, complex):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eigenbasis must be finite"):
+                SpectralOperator(np.ones(2), np.array([[bad, 0.0], [0.0, 1.0]], dtype=dtype))
+        # a basis whose Gram overflows is rejected without a numpy warning
+        with pytest.raises(ValueError, match="not orthonormal"):
+            SpectralOperator(np.ones(2), np.array([[1e200, 0.0], [0.0, 1.0]], dtype=dtype))
+
+
+def test_real_basis_check_keeps_one_gram():
+    # the orthonormality check holds one d x d product beside the stored copy
+    # of the basis, and its difference from the identity is made in place
+    rng = np.random.default_rng(53)
+    d = 1024
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    lam = np.arange(d, dtype=float)
+    tracemalloc.start()
+    try:
+        A = SpectralOperator(lam, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.eigenbasis.dtype == np.float64
+    assert peak < 2.5 * Q.nbytes
+
+
+def test_array_holders_compare_by_identity():
+    # == on arrays is elementwise, so these compare and hash as objects
+    rng = np.random.default_rng(59)
+    Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    A = SpectralOperator([1.0, 0.5, 0.25], Q)
+    B = SpectralOperator(A.eigenvalues, A.eigenbasis)
+    G = VectorSet(np.ones((2, 3)))
+    T = TimeGrid.uniform(4, 1.0)
+    gram = semicont_gram(A, G, 1.0)
+    result = reconstruct(A, G, sample(A, G, np.arange(3.0), T))
+    for x, y in ((A, B), (G, VectorSet(G.vectors)), (T, TimeGrid(T.times, T.L)),
+                 (gram, semicont_gram(A, G, 1.0)),
+                 (result, reconstruct(A, G, sample(A, G, np.arange(3.0), T)))):
+        assert x == x and x != y
+        assert x in [y, x] and y not in [x]
+        assert {x: 1, y: 2}[x] == 1
+    # results that hold such objects compare without raising
+    first, second = (find_discretization(A, G, 1.0, 0.5) for _ in range(2))
+    assert first == first and first != second
+    assert first.grid.times.tolist() == second.grid.times.tolist()
 
 
 def test_operator_properties_and_adjoint():
@@ -600,7 +656,7 @@ def test_real_basis_products_do_not_copy_the_basis():
 def _full_product(v, U):
     """v conj(U) over every column of v: the product without the support gather."""
     if np.isrealobj(U):
-        return _real_basis_product(v, U)
+        return _product(v, U)
     return v @ np.conj(U)
 
 

@@ -14,8 +14,9 @@ The corpus runs:
 - ``analyze --method quadrature`` in each format;
 - ``analyze``, ``complete`` and ``lscan`` with ``--out FILE`` in each
   format, and ``--out`` into a directory that does not exist;
-- ``repro --list``, ``repro --all`` and ``repro example-5.5`` in each
-  format, and an unknown entry name;
+- ``repro --list``, ``repro --all``, ``repro example-5.5`` and
+  ``repro example-4.4 --d 16`` (a truncation on one of the entry's own
+  reference sizes) in each format, and an unknown entry name;
 - ``complete`` in each format on a diagonal operator whose spectrum holds a
   real chain of near ties, a complex cluster, a vertical chain and a zero
   eigenvalue, with four random generators, so eigenvalue grouping is
@@ -146,6 +147,8 @@ def corpus() -> list:
             runs.append((f"{command[0]} readme {fmt} --out", argv, {}))
         for entry in ("--list", "--all", "example-5.5"):
             runs.append((f"repro {entry} {fmt}", ["repro", entry, "--format", fmt], {}))
+        runs.append((f"repro example-4.4 --d 16 {fmt}",
+                     ["repro", "example-4.4", "--d", "16", "--format", fmt], {}))
         for ratio in ("0.9", "0.99"):
             argv = [*rotations, "--target-ratio", ratio, "--format", fmt]
             runs.append((f"discretize rot8 --target-ratio {ratio} {fmt}", argv, {}))
