@@ -5,8 +5,8 @@ Frame bounds are the extreme eigenvalues of a Gram in eigen-coordinates, its
 them against a cyclic Jacobi solver and a 40-digit mpmath eigensolve.
 
 The spanning test ranks the generators' eigen-coordinates group by group,
-on the eigenvalue groups its operator lays out once; coordinates with no
-imaginary part go to LAPACK as real arrays, so the dtype follows the data.
+on the eigenvalue groups its operator lays out once, in the dtype that
+``to_eigenbasis`` gives them: real coordinates go to LAPACK as real arrays.
 A block with one row or column is ranked by whether it is nonzero, with no
 SVD.
 """
@@ -14,6 +14,7 @@ SVD.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -113,15 +114,13 @@ def frame_bounds(S) -> FrameReport:
     family fails to span and the report says ``incomplete``. An eigenvalue
     below -1e-9 times the largest modulus raises ``ValueError``; like the
     Hermitian check on a plain array, that test is relative to the matrix's
-    own scale, so a rescaled Gram keeps its verdict.
+    own scale, so a rescaled Gram keeps its verdict; real input stays real.
     """
     if isinstance(S, Gram):
         M, src = S.hat, S.method
     else:
         M, src = _check_hermitian(S, "frame_bounds input"), "matrix"
-    # the Hermitian part, so the bounds do not depend on which triangle
-    # LAPACK reads; halving first keeps it finite for every finite M
-    w = np.linalg.eigvalsh(0.5 * M + 0.5 * M.conj().T)
+    w = np.linalg.eigvalsh(M)
     if not np.isfinite(w).all():
         raise DomainError("gram eigenvalues are non-finite (its norm overflows)")
     lower = float(w[0])
@@ -178,13 +177,9 @@ def completeness_check(A: SpectralOperator, G: VectorSet) -> CompletenessCertifi
     blocks of all groups of one size go to LAPACK as one stack, and blocks
     with one row or column are ranked by whether they are nonzero. The
     groups, their sizes and the rows each block gathers are laid out once
-    per operator, so a call does only the work that depends on G. Eigen-
-    coordinates with no imaginary part (a real basis and real generators)
-    are ranked in real arithmetic.
+    per operator, so a call does only the work that depends on G.
     """
     ghat_t = A.to_eigenbasis(G.vectors).T
-    if not ghat_t.imag.any():
-        ghat_t = ghat_t.real
     values, indices, sizes, blocks = A._eigenspaces
     achieved = np.empty(len(sizes), dtype=int)
     for which, rows in blocks:
@@ -207,10 +202,11 @@ def brute_force_completeness(
     constraint.
     """
     L = _window_length(L)
+    grid_points = operator.index(grid_points)
     d, m = A.dimension, len(G)
     if grid_points < d * m:
         raise ValueError(f"grid_points must be at least d*|G| = {d * m}")
-    times = np.linspace(0.0, L, int(grid_points))
+    times = np.linspace(0.0, L, grid_points)
     blocks = [apply_power_batch(A, times, g).T for g in G]
     return int(_svd_rank(np.hstack(blocks))) == d
 

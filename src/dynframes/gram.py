@@ -15,6 +15,7 @@ the other. Every route returns one ``Gram``, its ``method`` naming the route.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -45,8 +46,9 @@ _HERMITIAN_TOL = 1e-8
 
 
 def _check_hermitian(S, label: str) -> np.ndarray:
-    """S as a complex array; raises unless it is square, nonempty, finite and Hermitian."""
-    S = np.asarray(S, dtype=np.complex128)
+    """Hermitian part of S, float64 for real S; raises unless S is square,
+    nonempty, finite and Hermitian."""
+    S = np.asarray(S, dtype=np.float64 if np.isrealobj(S) else np.complex128)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch("gram matrix must be square")
     if S.size == 0:
@@ -65,7 +67,8 @@ def _check_hermitian(S, label: str) -> np.ndarray:
         asym = float(np.max(np.abs(half - half.conj().T)))
     if asym > _HERMITIAN_TOL * scale:
         raise NonHermitian(f"{label} asymmetry {2.0 * asym:.3e} exceeds tolerance")
-    return S
+    # the eigensolver then reads either triangle alike; halving keeps it finite
+    return half + half.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +98,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n: int, L: float) -> "TimeGrid":
-        n = int(n)
+        n = operator.index(n)
         if n < 1:
             raise ValueError("uniform grid needs n >= 1 points")
         L = _window_length(L)
@@ -118,8 +121,8 @@ class TimeGrid:
 class Gram:
     """Hermitian Gram S = U hat U*, U the unitary ``eigenbasis`` (None: identity).
 
-    ``method`` records the route that built it: "closed_form", "discrete"
-    or "quadrature".
+    ``hat`` is the checked Hermitian part of the array given; ``method``
+    records the route that built it: "closed_form", "discrete" or "quadrature".
     """
 
     hat: np.ndarray
@@ -128,7 +131,7 @@ class Gram:
 
     def __post_init__(self):
         label = "discrete gram" if self.method == "discrete" else "semi-continuous gram"
-        S = _check_hermitian(self.hat, label).copy()
+        S = _check_hermitian(self.hat, label)
         S.setflags(write=False)
         object.__setattr__(self, "hat", S)
         if self.eigenbasis is not None and np.shape(self.eigenbasis) != S.shape:
@@ -210,11 +213,11 @@ def quadrature_gram(
     """Composite-Simpson Gram built from orbit samples A^t g only.
 
     This never touches the closed-form pair integrals, which is the point:
-    it is an independent check of ``semicont_gram``. ``panels`` must be even
-    and at least 2.
+    it is an independent check of ``semicont_gram``. ``panels`` must be an
+    even integer, at least 2.
     """
     L = _window_length(L)
-    panels = int(panels)
+    panels = operator.index(panels)
     if panels < 2 or panels % 2 != 0:
         raise ValueError("panels must be an even count >= 2")
     nodes = np.linspace(0.0, L, panels + 1)

@@ -24,7 +24,8 @@ is), and each product with it is one real matrix product on the stacked
 real and imaginary parts of the vectors, or on the real parts alone when
 the vectors are real. When the vectors are nonzero in at most a quarter of
 the coordinates, ``to_eigenbasis`` multiplies only those basis rows, so
-one-hot sensors cost a row gather.
+one-hot sensors cost a row gather. Coordinates with no imaginary part come
+back float64 on every route, a loaded basis included, as the log does.
 
 ``group_eigenspaces`` labels each eigenvalue index with its group: near
 ties within the tolerance, closed transitively, numbered by first index.
@@ -247,7 +248,7 @@ class SpectralOperator:
         return bool(np.max(np.abs(self.eigenvalues.imag)) <= 1e-12)
 
     def to_eigenbasis(self, vecs: np.ndarray) -> np.ndarray:
-        """Coordinates of vectors (last axis = C^d index) in the eigenbasis.
+        """Coordinates of vectors (last axis = C^d index) in the eigenbasis, float64 if real.
 
         Every state and generator enters the computations here, so this is
         where a NaN or inf vector is rejected with ``ValueError``, and
@@ -286,6 +287,8 @@ class SpectralOperator:
             if not np.isfinite(v).all():
                 raise ValueError("vectors must be finite")
             raise DomainError("eigen-coordinates have non-finite entries (overflow)")
+        if np.iscomplexobj(out) and not out.imag.any():
+            out = out.real.copy()
         return out
 
     @cached_property
@@ -351,7 +354,7 @@ def _product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
     other, so U is read once. U stays the right-hand operand: on the left,
     against the interleaved parts, the product is no faster than the
     complex one. Real vectors (one-hot sensors, real states) multiply their
-    real rows only.
+    real rows only, and their product stays float64.
     """
     if not np.isrealobj(U):
         return v @ U
@@ -362,7 +365,7 @@ def _product(v: np.ndarray, U: np.ndarray) -> np.ndarray:
         out = np.empty((n, U.shape[1]), dtype=np.complex128)
         out.real, out.imag = parts[:n], parts[n:]
     else:
-        out = (rows.real @ U).astype(np.complex128)
+        out = rows.real @ U
     return out.reshape(*v.shape[:-1], U.shape[1])
 
 
@@ -544,9 +547,11 @@ def operator_from_dict(data: dict) -> SpectralOperator:
     lam = _from_pairs(raw, (d,), "eigenvalues")
     raw_basis, tol = data.get("eigenbasis"), data.get("tolerance")
     basis = None if raw_basis is None else _from_pairs(raw_basis, (d, d), "eigenbasis").T
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))):
+        raise ValueError(f"tolerance must be a number, got {tol!r}")
     try:
         tol = None if tol is None else float(tol)
-    except (TypeError, OverflowError):
+    except OverflowError:  # an int beyond the float range
         raise ValueError(f"tolerance must be a number, got {tol!r}") from None
     return SpectralOperator(lam, basis, tol)
 

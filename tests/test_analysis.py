@@ -229,6 +229,14 @@ def test_frame_bounds_incomplete_system():
     assert rep.method == "eigvalsh/discrete"
 
 
+def test_frame_bounds_of_int_and_bool_arrays_match_their_float_copies():
+    for S in (np.array([[2, 1], [1, 2]]), np.eye(3, dtype=np.int8), np.ones((2, 2), dtype=int),
+              np.eye(4, dtype=bool), np.ones((3, 3), dtype=bool), np.array([[7]])):
+        assert frame_bounds(S) == frame_bounds(S.astype(np.float64))
+    with pytest.raises(NonHermitian):
+        frame_bounds(np.array([[True, True], [False, True]]))
+
+
 def test_frame_bounds_rejects_bad_input():
     with pytest.raises(NonHermitian):
         frame_bounds(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -722,6 +730,12 @@ def test_brute_force_grid_requirement():
     G = VectorSet(np.eye(3))
     with pytest.raises(ValueError):
         brute_force_completeness(A, G, 1.0, 8)  # below d * |G|
+    # a count that is not an integer is an error: 9.7 would pass the
+    # d * |G| check and then sample 9 times
+    for points in (9.7, 9.0):
+        with pytest.raises(TypeError):
+            brute_force_completeness(A, G, 1.0, points)
+    assert brute_force_completeness(A, G, 1.0, np.int64(9))
 
 
 # ---------------------------------------------------------------------------

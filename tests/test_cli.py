@@ -177,6 +177,10 @@ _GOOD_VECTORS = {"vectors": [[[1.0, 0.0], [1.0, 0.0]]]}
     pytest.param("op", {**_GOOD_OP, "dimension": None}, id="null-dimension"),
     pytest.param("op", {"eigenvalues": 5}, id="number-as-eigenvalues"),
     pytest.param("op", {**_GOOD_OP, "tolerance": [1]}, id="list-as-tolerance"),
+    # float() reads these as 1.0 and 0.6, which would merge the eigenvalues
+    # 1 and 0.5, so `complete` would report rank 1/2 and exit 2
+    pytest.param("op", {**_GOOD_OP, "tolerance": True}, id="bool-as-tolerance"),
+    pytest.param("op", {**_GOOD_OP, "tolerance": "0.6"}, id="string-as-tolerance"),
     pytest.param("op", {"eigenvalues": [[10**400, 0.0], [0.5, 0.0]]}, id="integer-beyond-double"),
     pytest.param("vectors", {"vectors": [5]}, id="number-as-vector"),
     pytest.param("vectors", {**_GOOD_VECTORS, "labels": 5}, id="number-as-labels"),

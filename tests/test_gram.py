@@ -13,7 +13,15 @@ from dynframes.gram import (
     semicont_gram,
 )
 from dynframes.analysis import frame_bounds
-from dynframes.spectral import SpectralOperator, VectorSet
+from dynframes.reconstruct import heat_cycle_operator
+from dynframes.spectral import (
+    SpectralOperator,
+    VectorSet,
+    load_operator,
+    load_vectors,
+    save_operator,
+    save_vectors,
+)
 from dynframes.catalog import gap_pair_system, gaussian_decay_system
 from helpers import random_normal_operator, random_unitary, random_vectors
 
@@ -39,6 +47,12 @@ def test_time_grid_validation():
             TimeGrid(np.array(times), 1.0)
     with pytest.raises(ValueError, match="^uniform grid needs n >= 1 points$"):
         TimeGrid.uniform(0, 1.0)
+    # a count that is not an integer is an error, not truncated to 2 points
+    for n in (2.7, 2.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            TimeGrid.uniform(n, 1.0)
+    for n in (3, np.int64(3), np.uint8(3)):
+        assert len(TimeGrid.uniform(n, 1.0)) == 3
 
 
 def test_time_grid_gaps_and_weights():
@@ -116,6 +130,11 @@ def test_quadrature_gram_validation_and_identity():
     S = quadrature_gram(A, G, 2.0, panels=2)
     np.testing.assert_allclose(S.matrix, 2.0 * np.eye(3), atol=1e-14)
     assert S.method == "quadrature"
+    # a panel count that is not an integer is an error, not truncated to 2 panels
+    for panels in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            quadrature_gram(A, G, 2.0, panels=panels)
+    assert np.array_equal(quadrature_gram(A, G, 2.0, panels=np.int64(2)).hat, S.hat)
 
 
 def test_gram_monotone_in_window():
@@ -310,3 +329,62 @@ def test_grams_hold_eigen_coordinates_and_build_the_matrix_on_request():
     quad = quadrature_gram(A, G, 1.0, panels=16)
     assert quad.eigenbasis is None
     assert quad.matrix is quad.hat
+
+
+def random_hermitian_noise(rng, d, dtype):
+    """A Hermitian matrix plus an asymmetry well inside the Hermitian tolerance."""
+    Z = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if dtype is complex else 0)
+    return (Z @ Z.conj().T + 1e-12 * rng.normal(size=(d, d))).astype(dtype)
+
+
+def test_every_route_stores_the_hermitian_part_once():
+    # the hat is the checked Hermitian part, so it equals its own conjugate
+    # transpose bit for bit (array_equal: up to the sign of zeros), and
+    # passed again as a plain array it gets the same check and bounds; a
+    # Gram built from an array within the tolerance of Hermitian stores
+    # 0.5 S + 0.5 S^H, bit for bit, and the eigensolver reads it as it is
+    rng = np.random.default_rng(83)
+    heat = heat_cycle_operator(12, 0.7)
+    systems = [(heat, VectorSet(np.eye(12)[[0, 5, 9]])),
+               (heat, random_vectors(rng, 2, 12)),
+               (SpectralOperator(np.exp(2j * np.pi * np.arange(6) / 6)), VectorSet(np.eye(6)[:2])),
+               (random_normal_operator(rng, 5, max_mod=2.0), random_vectors(rng, 2, 5))]
+    for A, G in systems:
+        T = TimeGrid.uniform(2 * A.dimension, 1.5)
+        for gram in (semicont_gram(A, G, 1.5), discrete_gram(A, G, T),
+                     discrete_gram(A, G, T, weights="riemann"), quadrature_gram(A, G, 1.5, 16)):
+            assert np.array_equal(gram.hat, gram.hat.conj().T)
+            rep, plain = frame_bounds(gram), frame_bounds(gram.hat)
+            assert (rep.lower, rep.upper) == (plain.lower, plain.upper)
+    for S in (random_hermitian_noise(rng, 5, complex), random_hermitian_noise(rng, 5, float)):
+        gram = Gram(S, "discrete")
+        assert gram.hat.dtype == S.dtype
+        assert np.array_equal(gram.hat, gram.hat.conj().T)
+        assert gram.hat.tobytes() == (0.5 * S + 0.5 * S.conj().T).tobytes()
+
+
+def test_heat_kernels_with_real_sensors_stay_real(tmp_path):
+    # a spectrum in [0, inf) on a real basis, sensed by one-hot vectors: the
+    # eigen-coordinates and both hats are float64, also after a file round
+    # trip, which loads the basis complex-typed with zero imaginary parts
+    A = heat_cycle_operator(16, 1.0)
+    G = VectorSet(np.eye(16)[[0, 5, 11]])
+    save_operator(A, tmp_path / "op.json")
+    save_vectors(G, tmp_path / "vectors.json")
+    B, H = load_operator(tmp_path / "op.json"), load_vectors(tmp_path / "vectors.json")
+    assert B.eigenbasis.dtype == np.complex128
+    T = TimeGrid.uniform(8, 1.0)
+    for op, vecs in ((A, G), (B, H)):
+        assert op.to_eigenbasis(vecs.vectors).dtype == np.float64
+        for gram in (semicont_gram(op, vecs, 1.0), discrete_gram(op, vecs, T)):
+            assert gram.hat.dtype == np.float64
+        assert np.allclose(semicont_gram(op, vecs, 1.0).hat, semicont_gram(A, G, 1.0).hat,
+                           rtol=0, atol=1e-15)
+    # a rotation spectrum keeps complex powers, so its hats stay complex
+    R = SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8))
+    S = VectorSet(np.eye(8)[[0, 3]])
+    assert R.to_eigenbasis(S.vectors).dtype == np.float64
+    for gram in (semicont_gram(R, S, 1.0), discrete_gram(R, S, T)):
+        assert gram.hat.dtype == np.complex128
+    Q = random_unitary(np.random.default_rng(5), 8)
+    assert SpectralOperator(R.eigenvalues, Q).to_eigenbasis(S.vectors).dtype == np.complex128

@@ -599,15 +599,28 @@ def _assert_within_gemm_bound(got, want, v, Q):
 def test_eigenbasis_dtype_follows_the_input(tmp_path):
     rng = np.random.default_rng(31)
     Q = np.linalg.qr(rng.normal(size=(5, 5)))[0]
-    for basis, dtype in [(Q, np.float64), (Q.tolist(), np.float64),
-                         (np.eye(5, dtype=int), np.float64),
-                         (Q.astype(complex), np.complex128),
-                         (random_unitary(rng, 5), np.complex128)]:
+    # (basis, its stored dtype, the dtype of real vectors' coordinates): the
+    # coordinates are float64 exactly when they have no imaginary part, so a
+    # complex-typed real basis gives real ones too
+    for basis, dtype, coords in [(Q, np.float64, np.float64),
+                                 (Q.tolist(), np.float64, np.float64),
+                                 (np.eye(5, dtype=int), np.float64, np.float64),
+                                 (Q.astype(complex), np.complex128, np.float64),
+                                 (random_unitary(rng, 5), np.complex128, np.complex128),
+                                 (None, None, np.float64)]:
         A = SpectralOperator(np.arange(1.0, 6.0), basis)
-        assert A.eigenbasis.dtype == dtype
-        assert not A.eigenbasis.flags.writeable
-        assert A.to_eigenbasis(np.ones(5)).dtype == np.complex128
-        assert A.from_eigenbasis(np.ones(5)).dtype == np.complex128
+        if basis is not None:
+            assert A.eigenbasis.dtype == dtype
+            assert not A.eigenbasis.flags.writeable
+        for vecs in (np.ones(5), np.eye(5)[[0, 3]]):
+            assert A.to_eigenbasis(vecs).dtype == coords
+            assert A.to_eigenbasis(vecs + 0j).dtype == coords
+        # the rule reads the values, not the basis: zero vectors have zero coordinates
+        assert A.to_eigenbasis(np.zeros((2, 5), dtype=complex)).dtype == np.float64
+        assert A.to_eigenbasis(np.ones(5) + 0.5j).dtype == np.complex128
+        assert A.to_eigenbasis(np.eye(5)[[1]] * 1j).dtype == np.complex128
+        # back from real coordinates, numpy's rule: the basis's dtype
+        assert A.from_eigenbasis(np.ones(5)).dtype == (dtype or np.complex128)
     # a file holds [re, im] pairs: a real basis loads complex, and the
     # loaded operator writes the same document again
     A = SpectralOperator(np.arange(1.0, 6.0), Q)

@@ -10,7 +10,9 @@ The corpus runs:
   antipodal, sparse and dense generators; the antipodal pair, sensors 0
   and d/2, leaves every paired eigenspace rank-deficient at rounding
   level, where real and complex arithmetic sit closest to the rank
-  cutoff);
+  cutoff), and on the 16-cycle with nine one-hot sensors at 0, 1, 2, 4,
+  ..., 14, a frame, so ``reconstruct`` and ``discretize`` reach an answer
+  through real normal equations instead of ending in ``NotAFrame``;
 - ``analyze --method quadrature`` in each format;
 - ``analyze``, ``complete`` and ``lscan`` with ``--out FILE`` in each
   format, and ``--out`` into a directory that does not exist;
@@ -97,6 +99,9 @@ for d in map(int, sys.argv[1:]):
     sparse = np.zeros((2, d), dtype=complex)
     sparse[:, rng.choice(d, 4, replace=False)] = dense[:, :4]
     D.save_vectors(D.VectorSet(sparse), f"heat{d}-sparse.json")
+nine = np.zeros((9, 16))
+nine[np.arange(9), [0, 1, 2, 4, 6, 8, 10, 12, 14]] = 1.0
+D.save_vectors(D.VectorSet(nine), "heat16-nine.json")
 rng = np.random.default_rng(8)
 q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
 D.save_operator(D.SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8), q), "rot8.json")
@@ -129,7 +134,7 @@ def corpus() -> list:
     systems = [("readme", "readme-op.json", "readme-vectors.json")] + [
         (f"heat{d}-{kind}", f"heat{d}.json", f"heat{d}-{kind}.json")
         for d in HEAT_SIZES for kind in ("onehot", "antipodal", "sparse", "dense")
-    ]
+    ] + [("heat16-nine", "heat16.json", "heat16-nine.json")]
     runs = []
     for system, op, vectors in systems:
         for command in COMMANDS:
