@@ -130,7 +130,6 @@ def frame_bounds(S) -> FrameReport:
             f"gram matrix has significantly negative eigenvalue {lower:.3e}"
         )
     lower = max(lower, 0.0)
-    upper = max(upper, 0.0)
     tau_r = rank_tolerance_factor() * upper
     if lower > tau_r:
         classification = FRAME
@@ -220,7 +219,11 @@ def bessel_check_fd(A: SpectralOperator, G: VectorSet) -> float:
     """
     mask = np.abs(A.eigenvalues) > A.tolerance
     ghat = A.to_eigenbasis(G.vectors)
-    return float(np.sum(np.abs(ghat[:, mask]) ** 2))
+    with np.errstate(over="ignore"):
+        energy = float(np.sum(np.abs(ghat[:, mask]) ** 2))
+    if not math.isfinite(energy):
+        raise DomainError("generator energy is non-finite (overflow)")
+    return energy
 
 
 def bessel_upper_constant(A: SpectralOperator, L: float) -> float:

@@ -100,25 +100,27 @@ def find_discretization(
     n = 2
     iterations = 0
     last = -math.inf
-    if n <= max_points:
-        W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
-        M = _power_profile(A, [0.0])  # the t = 0 row of every grid
-    while n <= max_points:
-        # (2j) (L / n) == j (L / (n / 2)) exactly, so only the odd rows are new
-        h = float(L) / n
-        grown = np.empty((n, M.shape[1]), dtype=M.dtype)
-        grown[0::2] = M
-        grown[1::2] = _power_profile(A, np.arange(1, n, 2) * h)
-        M = grown
-        Q = _power_sum(M)
-        # every left-rule weight of a uniform grid is h
-        weighted = frame_bounds(Gram(W * (h * Q), "discrete", A.eigenbasis))
-        iterations += 1
-        last = weighted.lower
-        if weighted.lower >= target:
-            plain = frame_bounds(Gram(W * Q, "discrete", A.eigenbasis))
-            return DiscretizationResult(TimeGrid.uniform(n, L), plain, h, iterations)
-        n *= 2
+    # W and its products with the power sums may overflow; each Gram checks its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= max_points:
+            W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
+            M = _power_profile(A, [0.0])  # the t = 0 row of every grid
+        while n <= max_points:
+            # (2j) (L / n) == j (L / (n / 2)) exactly, so only the odd rows are new
+            h = float(L) / n
+            grown = np.empty((n, M.shape[1]), dtype=M.dtype)
+            grown[0::2] = M
+            grown[1::2] = _power_profile(A, np.arange(1, n, 2) * h)
+            M = grown
+            Q = _power_sum(M)
+            # every left-rule weight of a uniform grid is h
+            weighted = frame_bounds(Gram(W * (h * Q), "discrete", A.eigenbasis))
+            iterations += 1
+            last = weighted.lower
+            if weighted.lower >= target:
+                plain = frame_bounds(Gram(W * Q, "discrete", A.eigenbasis))
+                return DiscretizationResult(TimeGrid.uniform(n, L), plain, h, iterations)
+            n *= 2
     raise NoConvergence(
         f"no uniform grid up to {max_points} points reached "
         f"{target_ratio} of the continuous lower bound (last {last:.3e})"

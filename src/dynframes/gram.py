@@ -26,6 +26,7 @@ from .errors import DimensionMismatch, DomainError, NonHermitian
 from .spectral import (
     SpectralOperator,
     VectorSet,
+    _held,
     _power_profile,
     _require_finite,
     _window_length,
@@ -53,18 +54,18 @@ def _check_hermitian(S, label: str) -> np.ndarray:
         raise DimensionMismatch("gram matrix must be square")
     if S.size == 0:
         raise DimensionMismatch(f"{label} is empty (0 x 0)")
-    if not np.isfinite(S).all():
+    # relative to the largest entry, so a rescaled matrix keeps its verdict;
+    # halved, so the scale is finite exactly when S is (halving both sides
+    # leaves the test as it is; 0.5 times a complex inf has a NaN part, hence
+    # "invalid"), and an asymmetry that still overflows is inf and fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * S
+        scale = float(np.max(np.abs(half)))
+        asym = float(np.max(np.abs(half - half.conj().T)))
+    if not scale < math.inf:  # NaN fails too
         raise DomainError(
             f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
         )
-    # relative to the largest entry, so a rescaled matrix keeps its verdict;
-    # halved, so the scale cannot overflow to inf and pass every asymmetry
-    # (halving both sides leaves the test as it is), and an asymmetry that
-    # still overflows is inf and fails
-    half = 0.5 * S
-    with np.errstate(over="ignore"):
-        scale = float(np.max(np.abs(half)))
-        asym = float(np.max(np.abs(half - half.conj().T)))
     if asym > _HERMITIAN_TOL * scale:
         raise NonHermitian(f"{label} asymmetry {2.0 * asym:.3e} exceeds tolerance")
     # the eigensolver then reads either triangle alike; halving keeps it finite
@@ -79,11 +80,9 @@ class TimeGrid:
     L: float
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64).reshape(-1)
+        t = _held(self.times, np.float64, "time grid times").reshape(-1)
         if t.size == 0:
             raise ValueError("a time grid needs at least one point")
-        if not np.isfinite(t).all():
-            raise ValueError("time grid times must be finite")
         L = _window_length(self.L)
         if t[0] != 0.0:
             raise ValueError("time grids must start at t = 0")
@@ -91,8 +90,6 @@ class TimeGrid:
             raise ValueError("time grid must be strictly increasing")
         if t[-1] >= L:
             raise ValueError("all grid times must lie strictly below L")
-        t = t.copy()
-        t.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "L", L)
 
@@ -167,10 +164,10 @@ def _power_sum(M: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
 
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> Gram:
     """Closed-form Gram of the orbit family over [0, L]; DomainError if it overflows."""
-    W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
+    ghat = A.to_eigenbasis(G.vectors)
     P = pair_integral_matrix(A, L)
-    with np.errstate(over="ignore", invalid="ignore"):
-        shat = W * P
+    with np.errstate(over="ignore", invalid="ignore"):  # the Gram checks it
+        shat = _hat_weight_matrix(ghat) * P
     return Gram(shat, "closed_form", A.eigenbasis)
 
 
@@ -188,8 +185,11 @@ def discrete_gram(
         w = T.riemann_weights()
     else:
         raise ValueError(f"unknown weighting {weights!r}")
-    W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
-    return Gram(W * _power_sum(_power_profile(A, T.times), w), "discrete", A.eigenbasis)
+    ghat = A.to_eigenbasis(G.vectors)
+    Q = _power_sum(_power_profile(A, T.times), w)
+    with np.errstate(over="ignore", invalid="ignore"):  # the Gram checks it
+        shat = _hat_weight_matrix(ghat) * Q
+    return Gram(shat, "discrete", A.eigenbasis)
 
 
 def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> float:

@@ -24,10 +24,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame
+from .errors import DimensionMismatch, DomainError, NotAFrame
 from .analysis import FRAME, frame_bounds
 from .gram import TimeGrid, _hat_weight_matrix, _power_sum
-from .spectral import SpectralOperator, VectorSet, _power_profile, _product
+from .spectral import SpectralOperator, VectorSet, _held, _power_profile, _product
 
 __all__ = [
     "SampleRecord",
@@ -51,15 +51,16 @@ class SampleRecord(_SampleFields):
     __slots__ = ()
 
     def __new__(cls, generator_index, time, value):
-        if int(generator_index) < 1:
+        generator_index = operator.index(generator_index)
+        if generator_index < 1:
             raise ValueError("generator_index is 1-based")
-        return super().__new__(cls, int(generator_index), float(time), complex(value))
+        return super().__new__(cls, generator_index, float(time), complex(value))
 
 
 class Samples(Sequence):
     """Sample values on a time grid: ``values[g, i] = <A^{times[i]} f, g_{g+1}>``.
 
-    ``values`` (m x n, complex) and the grid ``times`` (n) are read-only
+    ``values`` (m x n, complex) and the grid ``times`` (n) are finite, read-only
     arrays. As a sequence it holds the m * n ``SampleRecord``s,
     generator-major: all times of generator 1, then generator 2, and so on.
     Records are built only when read.
@@ -68,14 +69,10 @@ class Samples(Sequence):
     __slots__ = ("values", "times")
 
     def __init__(self, values, times):
-        values = np.array(values, dtype=np.complex128)
-        times = np.array(times, dtype=np.float64)
+        values = _held(values, np.complex128, "sample values")
+        times = _held(times, np.float64, "sample times")
         if values.ndim != 2 or times.shape != values.shape[1:]:
             raise ValueError("samples need an m x n value array and n times")
-        if not np.isfinite(times).all():
-            raise ValueError("sample times must be finite")
-        values.setflags(write=False)
-        times.setflags(write=False)
         self.values, self.times = values, times
 
     @classmethod
@@ -170,7 +167,9 @@ def reconstruct(
     reported residual is the relative error against it; otherwise it is the
     relative normal-equation residual.
 
-    Raises NotAFrame when the sampled system cannot determine the state.
+    Raises NotAFrame when the sampled system cannot determine the state,
+    and DomainError when the projected samples, the estimate or its
+    residual overflow.
     """
     if mode not in ("unweighted", "riemann"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -179,8 +178,6 @@ def reconstruct(
     if not (isinstance(samples, Samples) and len(samples.values) == len(G)):
         samples = Samples.from_records(samples, len(G))
     vals, times = samples.values, samples.times
-    if not np.isfinite(vals).all():
-        raise ValueError("sample values must be finite")
 
     grid = None if L is None else TimeGrid(times, L)
     weights = None
@@ -188,33 +185,48 @@ def reconstruct(
         if grid is None:
             raise ValueError("riemann weighting needs the window length L")
         weights = grid.riemann_weights()
-        vals = vals * weights
 
     # analysis family in eigencoordinates: psi_hat = conj(lambda^t) * g_hat
     profile = _power_profile(A, times).conj()
     ghat = A.to_eigenbasis(G.vectors)
-    S_hat = _hat_weight_matrix(ghat) * _power_sum(profile, weights)
-    b_hat = np.sum(ghat * _product(vals, profile), axis=0)
-    report = frame_bounds(S_hat)
-    if report.classification != FRAME:
-        raise NotAFrame(
-            f"sampled system lower bound {report.lower:.3e} is below tolerance"
-        )
+    # finite inputs can still overflow below; the Gram, b_hat and the answer are checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        S_hat = _hat_weight_matrix(ghat) * _power_sum(profile, weights)
+        report = frame_bounds(S_hat)
+        if report.classification != FRAME:
+            raise NotAFrame(
+                f"sampled system lower bound {report.lower:.3e} is below tolerance"
+            )
+        if weights is not None:
+            vals = vals * weights
+        b_hat = np.sum(ghat * _product(vals, profile), axis=0)
+        if not np.isfinite(b_hat).all():
+            raise DomainError("projected samples have non-finite entries (overflow)")
 
-    x_hat = np.linalg.solve(S_hat, b_hat)
-    x = A.from_eigenbasis(x_hat)
+        x_hat = np.linalg.solve(S_hat, b_hat)
+        x = A.from_eigenbasis(x_hat)
 
-    if truth is not None:
-        tv = np.asarray(truth, dtype=np.complex128).reshape(-1)
-        if tv.size != x.size:
-            raise DimensionMismatch("truth vector has the wrong length")
-        if not np.isfinite(tv).all():
-            raise ValueError("truth vector must be finite")
-        residual = float(np.linalg.norm(x - tv) / max(np.linalg.norm(tv), 1e-300))
-    else:
-        residual = float(np.linalg.norm(S_hat @ x_hat - b_hat))
-        residual /= max(float(np.linalg.norm(b_hat)), 1e-300)
+        if truth is not None:
+            tv = np.asarray(truth, dtype=np.complex128).reshape(-1)
+            if tv.size != x.size:
+                raise DimensionMismatch("truth vector has the wrong length")
+            if not np.isfinite(tv).all():
+                raise ValueError("truth vector must be finite")
+            residual = _norm(x - tv) / max(_norm(tv), 1e-300)
+        else:
+            residual = _norm(S_hat @ x_hat - b_hat) / max(_norm(b_hat), 1e-300)
+    if not (math.isfinite(residual) and np.isfinite(x).all()):
+        raise DomainError("estimate or residual is non-finite (overflow)")
     return ReconstructionResult(estimate=x, residual=residual)
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||; where the sum of squares overflows, max|v| times ||v / max|v|||."""
+    norm = float(np.linalg.norm(v))
+    if norm == math.inf:
+        top = float(np.max(np.abs(v)))
+        norm = top * float(np.linalg.norm(v / top))
+    return norm
 
 
 def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
@@ -224,7 +236,7 @@ def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
     real Fourier basis (constant, cosine and sine pairs, and the alternating
     vector when d is even), which the operator stores real.
     """
-    d = int(d)
+    d = operator.index(d)
     if d < 2:
         raise ValueError("the cycle needs at least 2 vertices")
     diffusion = float(diffusion)

@@ -102,6 +102,15 @@ def _principal_log(z) -> np.ndarray:
         return np.log(np.abs(z)) + 1j * np.where(arg == np.pi, -np.pi, arg)
 
 
+def _held(values, dtype, what: str) -> np.ndarray:
+    """A read-only C-order copy of values in dtype; ValueError unless every entry is finite."""
+    out = np.array(values, dtype=dtype, order="C")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    out.setflags(write=False)
+    return out
+
+
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise DomainError(f"{what} has non-finite entries (overflowed powers)")
@@ -193,13 +202,9 @@ class SpectralOperator:
     tolerance: Optional[float] = None
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=np.complex128).reshape(-1)
+        lam = _held(self.eigenvalues, np.complex128, "eigenvalues").reshape(-1)
         if lam.size == 0:
             raise ValueError("operator needs at least one eigenvalue")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("eigenvalues must be finite")
-        lam = lam.copy()
-        lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
 
         basis = self.eigenbasis
@@ -377,15 +382,11 @@ class VectorSet:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.complex128)
+        v = _held(self.vectors, np.complex128, "vectors")
         if v.ndim == 1:
             v = v[None, :]
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError("vectors must form a nonempty 2-D array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vectors must be finite")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)

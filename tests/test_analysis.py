@@ -24,9 +24,10 @@ from dynframes.analysis import (
     frame_bounds,
     multiplier_bounds,
 )
+from dynframes.discretize import find_discretization, window_scan
 from dynframes.errors import DimensionMismatch, DomainError, NonHermitian
 from dynframes.gram import TimeGrid, bessel_sum, discrete_gram, quadrature_gram, semicont_gram
-from dynframes.reconstruct import heat_cycle_operator
+from dynframes.reconstruct import Samples, heat_cycle_operator, reconstruct
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
@@ -314,6 +315,18 @@ def test_overflow_raises_domain_error_without_warnings():
         lambda: pair_integral(3.0, 3.0, 400.0),
         lambda: bessel_upper_constant(A, 400.0),
         lambda: apply_power_batch(SpectralOperator([3.0]), [800.0], [1.0]),
+    )
+    # finite generators whose weight products ghat^T conj(ghat) overflow
+    cycle = heat_cycle_operator(8, 1.0)
+    huge = VectorSet(np.full((2, 8), 1e200))
+    T = TimeGrid.uniform(16, 1.0)
+    calls += (
+        lambda: semicont_gram(cycle, huge, 1.0),
+        lambda: discrete_gram(cycle, huge, T),
+        lambda: find_discretization(cycle, huge, 1.0, 0.5),
+        lambda: window_scan(cycle, huge, [0.5, 1.0]),
+        lambda: reconstruct(cycle, huge, Samples(np.ones((2, 16)), T.times)),
+        lambda: bessel_check_fd(cycle, huge),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

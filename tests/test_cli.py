@@ -433,6 +433,21 @@ def test_reconstruct_rejects_negative_or_non_finite_noise(identity_files, capsys
     assert captured.err.startswith("error: --noise must be a finite nonnegative number")
 
 
+def test_reconstruct_with_huge_noise_prints_a_finite_error(tmp_path, capsys):
+    # on README's files: the error is about 1e160, and the sum of its squares
+    # overflows; before, it printed inf after numpy's overflow warning
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1]
+    op_doc, vec_doc = re.findall(r"```json\n(.*?)```", section, flags=re.S)[:2]
+    op, vec = tmp_path / "op.json", tmp_path / "gens.json"
+    op.write_text(op_doc, encoding="utf-8")
+    vec.write_text(vec_doc, encoding="utf-8")
+    code = main(["reconstruct", "--op", str(op), "--vectors", str(vec), "--L", "1",
+                 "--noise", "1e160", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert 1e158 < json.loads(captured.out)["relative_error"] < 1e162
+
+
 def test_seed_belongs_to_reconstruct_only(identity_files, capsys):
     op, vec = identity_files
     with pytest.raises(SystemExit) as exc:

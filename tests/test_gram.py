@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,21 @@ def test_gram_containers_reject_asymmetry():
         Gram(inf, "closed_form")
     with pytest.raises(DomainError, match="^discrete gram has non-finite"):
         Gram(inf, "discrete")
+    # in one triangle of a real or a complex matrix, with no numpy warning: the
+    # Hermitian check's scale is finite exactly when the matrix is, and it halves
+    # inside its errstate, since 0.5 * complex(inf, 0) has a NaN part
+    for dtype, entries in ((float, (np.inf, -np.inf, np.nan)),
+                           (complex, (np.inf, complex(0.0, np.inf), complex(np.nan, 0.0),
+                                      complex(0.0, np.nan), complex(np.inf, np.nan)))):
+        for bad in entries:
+            S = np.eye(3, dtype=dtype)
+            S[2, 0] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DomainError, match="^discrete gram has non-finite"):
+                    Gram(S, "discrete")
+                with pytest.raises(DomainError, match="^frame_bounds input has non-finite"):
+                    frame_bounds(S)
 
 
 def test_grams_hold_eigen_coordinates_and_build_the_matrix_on_request():

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dynframes.errors import DimensionMismatch, NotAFrame
+from dynframes.errors import DimensionMismatch, DomainError, NotAFrame
 from dynframes.gram import TimeGrid
 from dynframes.reconstruct import (
     ReconstructionResult,
@@ -152,6 +153,10 @@ def test_sample_record_validation():
     rec = SampleRecord(np.int64(3), np.float32(0.25), 2)
     assert [type(x) for x in rec] == [int, float, complex]
     assert rec == (3, 0.25, 2 + 0j)
+    # an index that is not an integer is an error, not truncated to generator 1
+    for index in (1.7, 1.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            SampleRecord(index, 0.0, 1.0)
 
 
 def _bits(x):
@@ -239,6 +244,12 @@ def test_heat_cycle_validation():
     for diffusion in (math.inf, math.nan):
         with pytest.raises(ValueError, match="diffusion must be positive and finite"):
             heat_cycle_operator(4, diffusion)
+    # a vertex count that is not an integer is an error, not the 16-cycle
+    for d in (16.9, 16.0, np.float64(16.0)):
+        with pytest.raises(TypeError):
+            heat_cycle_operator(d, 1.0)
+    for d in (np.int64(6), np.uint8(6)):
+        assert heat_cycle_operator(d, 1.0).dimension == 6
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +365,33 @@ def test_reconstruct_rejects_samples_of_another_generator_count():
         reconstruct(A, G, Samples(np.ones((1, 2)), times))
     with pytest.raises(ValueError, match="sample values must be finite"):
         reconstruct(A, G, Samples([[1.0, np.nan], [1.0, 1.0]], times))
+
+
+def test_overflowing_samples_end_in_a_domain_error_without_warnings():
+    # the projected samples of 1e307 overflow; before, the estimate and the
+    # residual came back NaN after numpy's warnings
+    A = heat_cycle_operator(8, 1.0)
+    G = VectorSet(np.eye(8)[[0, 1, 2, 4, 5]])
+    T = TimeGrid.uniform(64, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        huge = Samples(np.full((5, 64), 1e307), T.times)
+        with pytest.raises(DomainError, match="^projected samples have non-finite"):
+            reconstruct(A, G, huge, L=1.0)
+        # weighted by 1/64 they do not overflow, and the state is 1e307 throughout
+        result = reconstruct(A, G, huge, "riemann", L=1.0)
+        np.testing.assert_allclose(result.estimate, 1e307, rtol=1e-12)
+        assert result.residual < 1e-12
+        # samples of 1e160 give a finite answer whose norms' squares overflow
+        f = np.arange(8.0)
+        noisy = Samples(sample(A, G, f, T).values + 1e160, T.times)
+        for truth in (None, f):
+            result = reconstruct(A, G, noisy, L=1.0, truth=truth)
+            assert np.isfinite(result.estimate).all() and math.isfinite(result.residual)
+        assert 1e155 < result.residual < 1e165
+        # an error relative to a zero truth divides by 1e-300 and overflows
+        with pytest.raises(DomainError, match="^estimate or residual is non-finite"):
+            reconstruct(A, G, sample(A, G, np.full(8, 1e10), T), truth=np.zeros(8))
 
 
 def test_reconstruct_without_truth_reports_normal_equation_residual():

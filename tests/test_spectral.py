@@ -24,7 +24,7 @@ from dynframes.discretize import (
 )
 from dynframes.errors import DimensionMismatch, DomainError
 from dynframes.gram import TimeGrid, _power_sum, bessel_sum, quadrature_gram, semicont_gram
-from dynframes.reconstruct import heat_cycle_operator, reconstruct, sample
+from dynframes.reconstruct import Samples, heat_cycle_operator, reconstruct, sample
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
@@ -483,6 +483,45 @@ def test_real_basis_check_keeps_one_gram():
         tracemalloc.stop()
     assert A.eigenbasis.dtype == np.float64
     assert peak < 2.5 * Q.nbytes
+
+
+# each held input array: (build a holder from it, read it back, a valid input, its message)
+_HELD_ARRAYS = {
+    "eigenvalues": (SpectralOperator, lambda A: A.eigenvalues,
+                    np.array([1.0, 0.5j, 0.25]), "eigenvalues"),
+    "vectors": (VectorSet, lambda G: G.vectors, np.array([[1.0, 2j], [0.0, 3.0]]), "vectors"),
+    "time grid times": (lambda t: TimeGrid(t, 1.0), lambda T: T.times,
+                        np.array([0.0, 0.25, 0.5]), "time grid times"),
+    "sample values": (lambda v: Samples(v, [0.0, 0.5]), lambda S: S.values,
+                      np.array([[1.0, 2j], [3.0, 4.0]]), "sample values"),
+    "sample times": (lambda t: Samples(np.ones((2, 3)), t), lambda S: S.times,
+                     np.array([0.0, 0.25, 0.5]), "sample times"),
+}
+
+
+@pytest.mark.parametrize("name", list(_HELD_ARRAYS))
+def test_held_arrays_are_finite_read_only_copies(name):
+    build, read, given, what = _HELD_ARRAYS[name]
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = given.copy()
+        broken.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+            build(broken)
+    given = given.copy()
+    held = read(build(given))
+    assert not held.flags.writeable and held.tolist() == given.tolist()
+    with pytest.raises(ValueError):
+        held.flat[0] = 7.0
+    # the holder keeps its own copy, also of an input already in its dtype
+    given.flat[0] = 7.0
+    assert held.flat[0] != 7.0
+
+
+def test_a_non_finite_entry_is_reported_before_a_wrong_shape():
+    with pytest.raises(ValueError, match="^sample values must be finite$"):
+        Samples([np.nan], [0.0, 0.5])
+    with pytest.raises(ValueError, match="^vectors must be finite$"):
+        VectorSet(np.full((2, 2, 2), np.inf))
 
 
 def test_array_holders_compare_by_identity():

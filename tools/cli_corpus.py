@@ -27,7 +27,11 @@ The corpus runs:
   and triple eigenvalues and one generator that is exactly zero (or -0.0)
   on some of them, so blocks with one row or column are ranked, some
   groups report rank 0/1 and some 1/2;
-- ``complete`` on finite generators whose eigen-coordinates overflow;
+- ``complete`` on finite generators whose eigen-coordinates overflow, and
+  ``analyze`` and ``bessel`` on README's operator with two generators whose
+  entries are 1e200, so their weight products overflow;
+- ``reconstruct`` on README's files with ``--noise 1e160``, where the
+  squares of the error's norm overflow but the error does not;
 - deep grid searches: ``discretize`` on 8 unit-circle rotations in a random
   basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
   0.99 in each format (6 doublings), once with ``--max-points 48``,
@@ -124,6 +128,8 @@ D.save_vectors(D.VectorSet(np.array([[1.0, 0.0, -2.0, 0.0, -0.0, 0.0, 0.0, 0.0, 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 D.save_operator(D.SpectralOperator(np.array([0.5, 0.7]), H), "overflow.json")
 D.save_vectors(D.VectorSet(np.array([[1.7e308, 1.7e308]])), "overflow-vectors.json")
+# finite generators whose weight products overflow on README's operator
+D.save_vectors(D.VectorSet(np.full((2, 2), 1e200)), "huge-vectors.json")
 """
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS", "BLIS_NUM_THREADS")}
@@ -179,6 +185,12 @@ def corpus() -> list:
         ("complete missing op file", ["complete", "--op", "missing.json",
                                       "--vectors", "readme-vectors.json"], {}),
         ("reconstruct readme --noise -1", ["reconstruct", *readme, "--L", "1", "--noise", "-1"], {}),
+        ("reconstruct readme --noise 1e160",
+         ["reconstruct", *readme, "--L", "1", "--noise", "1e160"], {}),
+        ("analyze readme huge", ["analyze", "--op", "readme-op.json",
+                                 "--vectors", "huge-vectors.json", "--L", "1"], {}),
+        ("bessel readme huge", ["bessel", "--op", "readme-op.json",
+                                "--vectors", "huge-vectors.json", "--L", "1"], {}),
         ("repro unknown entry", ["repro", "example-nope"], {}),
         ("discretize rot8 --max-points 48",
          [*rotations, "--target-ratio", "0.9", "--max-points", "48"], {}),
