@@ -138,14 +138,25 @@ class ReconstructionResult:
 
 
 def sample(A: SpectralOperator, G: VectorSet, f: np.ndarray, T: TimeGrid) -> Samples:
-    """Measure <A^t f, g> for every generator and grid time of T."""
+    """Measure <A^t f, g> for every generator and grid time of T.
+
+    Raises ValueError for a non-finite state and DomainError when finite
+    inputs give samples that overflow.
+    """
     fv = np.asarray(f, dtype=np.complex128).reshape(-1)
     if fv.size != A.dimension or G.dimension != A.dimension:
         raise DimensionMismatch("state, generators and operator must share C^d")
+    if not np.isfinite(fv).all():
+        raise ValueError("state vectors must be finite")
     # values[g, i] = <lambda^{t_i} * fhat, ghat_g> in eigen-coordinates,
-    # summed as (conj(ghat_g) * fhat) @ lambda^{t_i}
-    coeffs = np.conj(A.to_eigenbasis(G.vectors)) * A.to_eigenbasis(fv)
-    return Samples(_product(coeffs, _power_profile(A, T.times).T), T.times)
+    # summed as (conj(ghat_g) * fhat) @ lambda^{t_i}; Samples checks the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.conj(A.to_eigenbasis(G.vectors)) * A.to_eigenbasis(fv)
+        values = _product(coeffs, _power_profile(A, T.times).T)
+    try:
+        return Samples(values, T.times)
+    except ValueError:  # the inputs are finite, so the values overflowed
+        raise DomainError("sample values have non-finite entries (overflow)") from None
 
 
 def reconstruct(
@@ -212,7 +223,9 @@ def reconstruct(
                 raise DimensionMismatch("truth vector has the wrong length")
             if not np.isfinite(tv).all():
                 raise ValueError("truth vector must be finite")
-            residual = _norm(x - tv) / max(_norm(tv), 1e-300)
+            if not tv.any():
+                raise ValueError("truth vector must be nonzero")
+            residual = _norm(x - tv) / _norm(tv)
         else:
             residual = _norm(S_hat @ x_hat - b_hat) / max(_norm(b_hat), 1e-300)
     if not (math.isfinite(residual) and np.isfinite(x).all()):
@@ -221,11 +234,11 @@ def reconstruct(
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v||; where the sum of squares overflows, max|v| times ||v / max|v|||."""
+    """||v||; where the sum of squares overflows or underflows, max|v| times ||v / max|v|||."""
     norm = float(np.linalg.norm(v))
-    if norm == math.inf:
+    if not 0.0 < norm < math.inf:
         top = float(np.max(np.abs(v)))
-        norm = top * float(np.linalg.norm(v / top))
+        norm = top * float(np.linalg.norm(v / top)) if top else 0.0
     return norm
 
 

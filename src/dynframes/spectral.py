@@ -25,7 +25,7 @@ real and imaginary parts of the vectors, or on the real parts alone when
 the vectors are real. When the vectors are nonzero in at most a quarter of
 the coordinates, ``to_eigenbasis`` multiplies only those basis rows, so
 one-hot sensors cost a row gather. Coordinates with no imaginary part come
-back float64 on every route, a loaded basis included, as the log does.
+back float64 on every route, a basis read from pairs included, as the log does.
 
 ``group_eigenspaces`` labels each eigenvalue index with its group: near
 ties within the tolerance, closed transitively, numbered by first index.
@@ -36,13 +36,17 @@ only with its neighbours along one axis. An operator lays its groups out
 for the spanning test once and keeps them, like ``Gram.matrix``, so checks
 of many sensor sets against one operator group it once.
 
-JSON documents hold ``[re, im]`` pairs, and each array crosses that boundary
-in one conversion, so a loaded basis is complex. A malformed document raises
+JSON documents hold each array either as nested ``[re, im]`` pairs, the
+hand-editable form, or as an object ``{"dtype", "shape", "base64"}`` with
+the array's little-endian bytes, the form ``save_*`` write: numbers cross the
+boundary as bytes, not as text, so a saved document loads without parsing
+them and a real basis reloads float64. A malformed document raises
 ``ValueError``.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -508,27 +512,62 @@ def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray
 # JSON interchange
 
 
-def _to_pairs(z: np.ndarray) -> list:
-    return np.stack((z.real, z.imag), -1).tolist()
+def _to_object(z: np.ndarray) -> dict:
+    """The object form of z: its dtype, shape and little-endian bytes in base64."""
+    z = np.ascontiguousarray(z, dtype=z.dtype.newbyteorder("<"))
+    return {"dtype": z.dtype.str, "shape": list(z.shape),
+            "base64": base64.b64encode(z).decode("ascii")}
 
 
-def _from_pairs(raw, shape: tuple, what: str) -> np.ndarray:
-    """Complex array of ``shape`` from nested [re, im] pairs, bit for bit; null is NaN."""
+def _fits(shape, expected: tuple) -> bool:
+    return len(shape) == len(expected) and all(n in (None, k) for k, n in zip(shape, expected))
+
+
+def _from_pairs(raw, shape: tuple, what: str, real: bool = False) -> np.ndarray:
+    """Array of ``shape`` (``None`` matches any length) from either form, bit for bit.
+
+    Nested [re, im] pairs give complex128, a JSON null read as NaN. The
+    object form gives its own dtype, "<c16", or "<f8" where ``real`` allows
+    it; its shape must be a list of ints that fits ``shape`` and its payload
+    valid base64 of exactly that many items.
+    """
+    if isinstance(raw, dict):
+        dtype, size = raw.get("dtype"), raw.get("shape")
+        allowed = ("<c16", "<f8") if real else ("<c16",)
+        if dtype not in allowed:
+            raise ValueError(f"{what} dtype must be {' or '.join(allowed)}, got {dtype!r}")
+        if not (isinstance(size, list) and all(type(n) is int and n >= 0 for n in size)
+                and _fits(size, shape)):
+            raise ValueError(f"{what} shape must be a list of ints matching {_dims(shape)}, "
+                             f"got {size!r}")
+        try:
+            data = base64.b64decode(raw.get("base64"), validate=True)
+        except (TypeError, ValueError):  # not a string, not ASCII, not base64
+            raise ValueError(f"{what} payload must be a base64 string") from None
+        expected = math.prod(size) * np.dtype(dtype).itemsize
+        if len(data) != expected:
+            raise ValueError(f"{what} payload holds {len(data)} bytes, expected {expected}")
+        return np.frombuffer(data, dtype).reshape(size)
     try:
         pairs = np.array(raw, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
         pairs = np.empty(0)
-    if pairs.shape != (*shape, 2):
-        raise ValueError(f"{what} must be an array of {shape} [re, im] number pairs")
+    if pairs.shape[-1:] != (2,) or not _fits(pairs.shape[:-1], shape):
+        raise ValueError(f"{what} must be an array of {_dims(shape)} [re, im] number pairs "
+                         "or an array object")
     return pairs.view(np.complex128)[..., 0]
+
+
+def _dims(shape: tuple) -> str:
+    return " x ".join("n" if n is None else str(n) for n in shape)
 
 
 def operator_to_dict(A: SpectralOperator) -> dict:
     return {
         "dimension": A.dimension,
-        "eigenvalues": _to_pairs(A.eigenvalues),
+        "eigenvalues": _to_object(A.eigenvalues),
         # the file lists the basis column by column
-        "eigenbasis": None if A.eigenbasis is None else _to_pairs(A.eigenbasis.T),
+        "eigenbasis": None if A.eigenbasis is None else _to_object(A.eigenbasis.T),
         "tolerance": A.tolerance,
     }
 
@@ -540,14 +579,13 @@ def operator_from_dict(data: dict) -> SpectralOperator:
         raw = data["eigenvalues"]
     except KeyError as exc:
         raise ValueError(f"operator document missing key {exc}") from None
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("eigenvalues must be a nonempty list of [re, im] pairs")
-    d = len(raw)
+    lam = _from_pairs(raw, (None,), "eigenvalues")
+    d = lam.size
     if data.get("dimension", d) != d:
         raise ValueError(f"dimension field is {data['dimension']} but {d} eigenvalues were given")
-    lam = _from_pairs(raw, (d,), "eigenvalues")
-    raw_basis, tol = data.get("eigenbasis"), data.get("tolerance")
-    basis = None if raw_basis is None else _from_pairs(raw_basis, (d, d), "eigenbasis").T
+    basis, tol = data.get("eigenbasis"), data.get("tolerance")
+    if basis is not None:
+        basis = _from_pairs(basis, (d, d), "eigenbasis", real=True).T
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))):
         raise ValueError(f"tolerance must be a number, got {tol!r}")
     try:
@@ -558,7 +596,7 @@ def operator_from_dict(data: dict) -> SpectralOperator:
 
 
 def vectors_to_dict(G: VectorSet) -> dict:
-    out = {"dimension": G.dimension, "vectors": _to_pairs(G.vectors)}
+    out = {"dimension": G.dimension, "vectors": _to_object(G.vectors)}
     if G.labels is not None:
         out["labels"] = list(G.labels)
     return out
@@ -571,16 +609,19 @@ def vectors_from_dict(data: dict) -> VectorSet:
         raw = data["vectors"]
     except KeyError as exc:
         raise ValueError(f"vector document missing key {exc}") from None
-    if not (raw and isinstance(raw, list) and all(isinstance(vec, list) for vec in raw)):
-        raise ValueError("vectors must be a nonempty list of lists of [re, im] pairs")
-    d = data.get("dimension", len(raw[0]))
-    for i, vec in enumerate(raw):
-        if len(vec) != d:
-            raise ValueError(f"vector {i} has length {len(vec)}, expected {d}")
+    if not isinstance(raw, dict):
+        # nested pairs: name the first vector of another length
+        if not (raw and isinstance(raw, list) and all(isinstance(vec, list) for vec in raw)):
+            raise ValueError("vectors must be a nonempty list of lists of [re, im] pairs "
+                             "or an array object")
+        d = data.get("dimension", len(raw[0]))
+        for i, vec in enumerate(raw):
+            if len(vec) != d:
+                raise ValueError(f"vector {i} has length {len(vec)}, expected {d}")
     labels = data.get("labels")
     if not (labels is None or isinstance(labels, list)):
         raise ValueError("labels must be a list")
-    return VectorSet(_from_pairs(raw, (len(raw), d), "vectors"), labels)
+    return VectorSet(_from_pairs(raw, (None, data.get("dimension")), "vectors"), labels)
 
 
 def load_operator(path) -> SpectralOperator:

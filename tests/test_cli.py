@@ -1,3 +1,4 @@
+import base64
 import csv
 import itertools
 import json
@@ -141,6 +142,75 @@ def test_readme_file_format_examples_load(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert code == 0
     assert blob["complete"] is True
+
+
+def _payload(values, dtype="<c16"):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+# README's operator and generators in the object form
+OBJECT_OP = {"eigenvalues": {"dtype": "<c16", "shape": [2], "base64": _payload([1.0, 0.5])},
+             "eigenbasis": None}
+OBJECT_VECTORS = {"vectors": {"dtype": "<c16", "shape": [2, 2], "base64": _payload(np.eye(2))}}
+README_BYTES = np.array([1.0, 0.5], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("command", [["analyze", "--L", "1"], ["complete"]])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_object_form_files_print_the_pair_files_numbers(tmp_path, capsys, command, fmt):
+    # README's pair examples, then its object-form operator
+    section = README.read_text(encoding="utf-8").split("### File formats", 1)[1]
+    op_pairs, vec_pairs, op_object = re.findall(r"```json\n(.*?)```", section, flags=re.S)[:3]
+    assert json.loads(op_object) == OBJECT_OP
+    printed = []
+    for op_doc, vec_doc in ((op_pairs, vec_pairs), (op_object, json.dumps(OBJECT_VECTORS))):
+        (tmp_path / "op.json").write_text(op_doc, encoding="utf-8")
+        (tmp_path / "gens.json").write_text(vec_doc, encoding="utf-8")
+        code = main([*command, "--op", str(tmp_path / "op.json"),
+                     "--vectors", str(tmp_path / "gens.json"), "--format", fmt])
+        printed.append((code, capsys.readouterr()))
+    assert printed[0][0] == 0
+    assert printed[1] == printed[0]
+
+
+@pytest.mark.parametrize("kind, field, patch, top", [
+    pytest.param("op", "eigenvalues", {"dtype": "<c8"}, {}, id="dtype <c8"),
+    pytest.param("op", "eigenvalues", {"dtype": ">c16"}, {}, id="dtype >c16"),
+    pytest.param("op", "eigenvalues", {"dtype": "<f8", "base64": _payload([1.0, 0.5], "<f8")},
+                 {}, id="real eigenvalues"),
+    pytest.param("vectors", "vectors", {"dtype": "<f8", "base64": _payload(np.eye(2), "<f8")},
+                 {}, id="real vectors"),
+    pytest.param("op", "eigenbasis", {"dtype": "<f8", "shape": [1, 4],
+                                      "base64": _payload(np.eye(2), "<f8")}, {},
+                 id="basis shape disagrees"),
+    pytest.param("vectors", "vectors", {"shape": [1, 4]}, {"dimension": 2},
+                 id="dimension disagrees with shape"),
+    pytest.param("op", "eigenvalues", {"shape": 2}, {}, id="shape not a list"),
+    pytest.param("vectors", "vectors", {"shape": [2, True]}, {}, id="shape holds a bool"),
+    pytest.param("op", "eigenvalues", {"shape": [2.0]}, {}, id="shape holds a float"),
+    pytest.param("op", "eigenvalues", {"base64": base64.b64encode(README_BYTES[:-1]).decode()},
+                 {}, id="payload one byte short"),
+    pytest.param("op", "eigenvalues", {"base64": base64.b64encode(README_BYTES + b"\0").decode()},
+                 {}, id="payload one byte long"),
+    pytest.param("op", "eigenvalues", {"base64": "*" + _payload([1.0, 0.5])[1:]}, {},
+                 id="non-base64 character"),
+    pytest.param("op", "eigenvalues", {"base64": _payload([np.nan, 0.5])}, {}, id="NaN payload"),
+    pytest.param("vectors", "vectors", {"base64": _payload([[np.inf, 0.0], [0.0, 1.0]])}, {},
+                 id="inf payload"),
+    pytest.param("op", "eigenbasis", {"dtype": "<f8", "shape": [2, 2],
+                                      "base64": _payload([[1.0, np.nan], [0.0, 1.0]], "<f8")},
+                 {}, id="NaN basis"),
+])
+def test_malformed_object_form_is_an_input_error(tmp_path, capsys, kind, field, patch, top):
+    docs = {"op": dict(OBJECT_OP), "vectors": dict(OBJECT_VECTORS)}
+    docs[kind].update({field: {**(docs[kind][field] or {}), **patch}, **top})
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["complete", "--op", str(tmp_path / "op.json"),
+                 "--vectors", str(tmp_path / "vectors.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: invalid {kind} file {tmp_path / kind}.json: ")
 
 
 @pytest.mark.parametrize("eigenvalues", [

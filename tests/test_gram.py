@@ -20,11 +20,17 @@ from dynframes.spectral import (
     VectorSet,
     load_operator,
     load_vectors,
+    operator_from_dict,
     save_operator,
     save_vectors,
 )
 from dynframes.catalog import gap_pair_system, gaussian_decay_system
-from helpers import random_normal_operator, random_unitary, random_vectors
+from helpers import (
+    operator_to_dict_by_element,
+    random_normal_operator,
+    random_unitary,
+    random_vectors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +388,18 @@ def test_every_route_stores_the_hermitian_part_once():
 def test_heat_kernels_with_real_sensors_stay_real(tmp_path):
     # a spectrum in [0, inf) on a real basis, sensed by one-hot vectors: the
     # eigen-coordinates and both hats are float64, also after a file round
-    # trip, which loads the basis complex-typed with zero imaginary parts
+    # trip, which keeps the basis float64, and from a document of [re, im]
+    # pairs, which loads it complex-typed with zero imaginary parts
     A = heat_cycle_operator(16, 1.0)
     G = VectorSet(np.eye(16)[[0, 5, 11]])
     save_operator(A, tmp_path / "op.json")
     save_vectors(G, tmp_path / "vectors.json")
     B, H = load_operator(tmp_path / "op.json"), load_vectors(tmp_path / "vectors.json")
-    assert B.eigenbasis.dtype == np.complex128
+    assert B.eigenbasis.dtype == np.float64
+    C = operator_from_dict(operator_to_dict_by_element(A))
+    assert C.eigenbasis.dtype == np.complex128
     T = TimeGrid.uniform(8, 1.0)
-    for op, vecs in ((A, G), (B, H)):
+    for op, vecs in ((A, G), (B, H), (C, H)):
         assert op.to_eigenbasis(vecs.vectors).dtype == np.float64
         for gram in (semicont_gram(op, vecs, 1.0), discrete_gram(op, vecs, T)):
             assert gram.hat.dtype == np.float64

@@ -389,9 +389,34 @@ def test_overflowing_samples_end_in_a_domain_error_without_warnings():
             result = reconstruct(A, G, noisy, L=1.0, truth=truth)
             assert np.isfinite(result.estimate).all() and math.isfinite(result.residual)
         assert 1e155 < result.residual < 1e165
-        # an error relative to a zero truth divides by 1e-300 and overflows
+        # an error relative to a subnormal truth overflows
         with pytest.raises(DomainError, match="^estimate or residual is non-finite"):
-            reconstruct(A, G, sample(A, G, np.full(8, 1e10), T), truth=np.zeros(8))
+            reconstruct(A, G, sample(A, G, np.full(8, 1e10), T), truth=np.full(8, 5e-324))
+
+
+def test_an_error_relative_to_a_zero_truth_is_rejected():
+    A = heat_cycle_operator(8, 1.0)
+    G = VectorSet(np.eye(8)[[0, 1, 2, 4, 5]])
+    samples = sample(A, G, np.ones(8), TimeGrid.uniform(64, 1.0))
+    for zero in (np.zeros(8), np.full(8, -0.0)):
+        with pytest.raises(ValueError, match="^truth vector must be nonzero$"):
+            reconstruct(A, G, samples, truth=zero)
+    # a zero right-hand side still gives the zero state and residual 0
+    result = reconstruct(A, G, Samples(np.zeros((5, 64)), samples.times))
+    assert not result.estimate.any() and result.residual == 0.0
+
+
+def test_overflowing_products_of_finite_inputs_are_a_domain_error():
+    # finite generators and state of 1e200: each coefficient overflows, and
+    # the input is not to blame
+    A = heat_cycle_operator(8, 1.0)
+    T = TimeGrid.uniform(16, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="^sample values have non-finite entries"):
+            sample(A, VectorSet(np.full((2, 8), 1e200)), np.full(8, 1e200), T)
+    with pytest.raises(ValueError, match="^state vectors must be finite$"):
+        sample(A, VectorSet(np.full((2, 8), 1e200)), np.full(8, np.inf), T)
 
 
 def test_reconstruct_without_truth_reports_normal_equation_residual():

@@ -660,17 +660,21 @@ def test_eigenbasis_dtype_follows_the_input(tmp_path):
         assert A.to_eigenbasis(np.eye(5)[[1]] * 1j).dtype == np.complex128
         # back from real coordinates, numpy's rule: the basis's dtype
         assert A.from_eigenbasis(np.ones(5)).dtype == (dtype or np.complex128)
-    # a file holds [re, im] pairs: a real basis loads complex, and the
-    # loaded operator writes the same document again
+    # a saved file holds the basis's own dtype: a real basis reloads float64
+    # with the same bytes, and the loaded operator writes the same document
+    # again; a document of [re, im] pairs loads it complex
     A = SpectralOperator(np.arange(1.0, 6.0), Q)
     path = tmp_path / "op.json"
     save_operator(A, path)
     text = path.read_text(encoding="utf-8")
     B = load_operator(path)
-    assert B.eigenbasis.dtype == np.complex128
-    assert B.eigenbasis.tobytes() == Q.astype(complex).tobytes()
+    assert B.eigenbasis.dtype == np.float64
+    assert B.eigenbasis.tobytes() == Q.tobytes()
     save_operator(B, path)
     assert path.read_text(encoding="utf-8") == text
+    C = operator_from_dict(json.loads(json.dumps(operator_to_dict_by_element(A))))
+    assert C.eigenbasis.dtype == np.complex128
+    assert C.eigenbasis.tobytes() == Q.astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 64, 200, 513])
@@ -967,14 +971,13 @@ def _bitwise_equal(a, b):
 
 
 @given(json_systems())
-def test_json_documents_match_the_element_by_element_oracle(tmp_path_factory, system):
+def test_json_documents_match_the_element_by_element_oracle(system):
+    # documents of [re, im] pairs, written and read one element at a time,
+    # load through the package's decoder to the same bits
     A, G = system
-    path = tmp_path_factory.getbasetemp() / "oracle-doc.json"
-    save_operator(A, path)
-    text = path.read_text(encoding="utf-8")
-    assert text == json.dumps(operator_to_dict_by_element(A), indent=2) + "\n"
-    B = load_operator(path)
-    lam, basis = operator_arrays_by_element(json.loads(text))
+    doc = json.loads(json.dumps(operator_to_dict_by_element(A)))
+    B = operator_from_dict(doc)
+    lam, basis = operator_arrays_by_element(doc)
     assert np.array_equal(B.eigenvalues, A.eigenvalues)
     assert _bitwise_equal(B.eigenvalues, lam)
     assert B.tolerance == A.tolerance
@@ -984,12 +987,35 @@ def test_json_documents_match_the_element_by_element_oracle(tmp_path_factory, sy
         assert np.array_equal(B.eigenbasis, A.eigenbasis)
         assert _bitwise_equal(B.eigenbasis, basis)
 
-    save_vectors(G, path)
-    text = path.read_text(encoding="utf-8")
-    assert text == json.dumps(vectors_to_dict_by_element(G), indent=2) + "\n"
-    W = load_vectors(path)
+    doc = json.loads(json.dumps(vectors_to_dict_by_element(G)))
+    W = vectors_from_dict(doc)
     assert np.array_equal(W.vectors, G.vectors)
-    assert _bitwise_equal(W.vectors, vectors_array_by_element(json.loads(text)))
+    assert _bitwise_equal(W.vectors, vectors_array_by_element(doc))
+    assert W.labels == G.labels
+
+
+@given(json_systems())
+def test_saved_documents_reload_bit_for_bit(tmp_path_factory, system):
+    # save_* write every array as its own bytes: -0.0, subnormals and the
+    # extremes of the range come back exactly, a real basis as float64
+    A, G = system
+    path = tmp_path_factory.getbasetemp() / "saved-doc.json"
+    save_operator(A, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["eigenvalues"]["dtype"] == "<c16"
+    B = load_operator(path)
+    assert _bitwise_equal(B.eigenvalues, A.eigenvalues)
+    assert B.tolerance == A.tolerance
+    if A.eigenbasis is None:
+        assert doc["eigenbasis"] is None and B.eigenbasis is None
+    else:
+        assert doc["eigenbasis"]["dtype"] == A.eigenbasis.dtype.str
+        assert B.eigenbasis.dtype == A.eigenbasis.dtype
+        assert B.eigenbasis.tobytes() == A.eigenbasis.tobytes()
+
+    save_vectors(G, path)
+    W = load_vectors(path)
+    assert _bitwise_equal(W.vectors, G.vectors)
     assert W.labels == G.labels
 
 

@@ -36,6 +36,15 @@ The corpus runs:
   basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
   0.99 in each format (6 doublings), once with ``--max-points 48``,
   which ends in ``NoConvergence``, and once with ``--max-points 1``;
+- ``analyze`` and ``complete`` in each format on README's operator and
+  generators written in the object form (``{"dtype", "shape", "base64"}``),
+  and ``complete`` on an object-form operator whose payload is one byte
+  short. These files are built here with ``json``, ``base64`` and
+  ``struct``, not with ``save_*``, so both revisions read the same bytes. A
+  revision that reads only ``[re, im]`` pairs reports ``invalid op file`` on
+  all of them; on one that reads the form, each object-form run must print
+  exactly what the same run prints on README's pair files, and the tool
+  checks that on the head revision;
 - a few input errors, among them windows that are not positive and finite
   on every route: ``analyze --L inf`` and ``analyze --method quadrature
   --L inf``, ``reconstruct --L inf``, ``lscan --Ls 1,nan`` and
@@ -52,12 +61,16 @@ writes the input files once, so both revisions read the same bytes.
 
 Two revisions are compared rather than a revision and golden files, so a
 change in the last printed digit shows up as a difference to explain, not
-as a frozen expectation. Exit status 0 means every output is identical.
+as a frozen expectation. Exit status 0 means every output is identical and
+every object-form run at the head matches its pair-file run.
 """
 
 import argparse
+import base64
 import difflib
+import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -84,6 +97,25 @@ HEAT_SIZES = (16, 512)
 README_FILES = {
     "readme-op.json": '{"eigenvalues": [[1.0, 0.0], [0.5, 0.0]], "eigenbasis": null}\n',
     "readme-vectors.json": '{"vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}\n',
+}
+
+
+def _array_object(dtype: str, shape: list, doubles: list, cut: int = 0) -> dict:
+    """The object form of an array given as its doubles; ``cut`` drops trailing bytes."""
+    raw = struct.pack(f"<{len(doubles)}d", *doubles)
+    return {"dtype": dtype, "shape": shape,
+            "base64": base64.b64encode(raw[:len(raw) - cut]).decode("ascii")}
+
+
+# README's operator and generators in the object form, and an operator whose
+# payload is one byte short
+OBJECT_FILES = {
+    "readme-object-op.json": {"eigenvalues": _array_object("<c16", [2], [1.0, 0.0, 0.5, 0.0]),
+                              "eigenbasis": None},
+    "readme-object-vectors.json": {"vectors": _array_object(
+        "<c16", [2, 2], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])},
+    "short-object-op.json": {"eigenvalues": _array_object("<c16", [2], [1.0, 0.0, 0.5, 0.0], 1),
+                             "eigenbasis": None},
 }
 WRITE_GENERATED_FILES = """
 import sys
@@ -169,6 +201,10 @@ def corpus() -> list:
         argv = ["complete", "--op", "zeros.json", "--vectors", "zeros-vectors.json",
                 "--format", fmt]
         runs.append((f"complete zeros {fmt}", argv, {}))
+        for command in COMMANDS[:2]:  # analyze and complete
+            argv = [*command, "--op", "readme-object-op.json",
+                    "--vectors", "readme-object-vectors.json", "--format", fmt]
+            runs.append((f"{command[0]} readme-object {fmt}", argv, {}))
     runs += [
         ("analyze readme --L inf", ["analyze", *readme, "--L", "inf"], {}),
         ("analyze readme quadrature --L inf",
@@ -184,6 +220,8 @@ def corpus() -> list:
                                "--vectors", "overflow-vectors.json"], {}),
         ("complete missing op file", ["complete", "--op", "missing.json",
                                       "--vectors", "readme-vectors.json"], {}),
+        ("complete short object op file", ["complete", "--op", "short-object-op.json",
+                                           "--vectors", "readme-vectors.json"], {}),
         ("reconstruct readme --noise -1", ["reconstruct", *readme, "--L", "1", "--noise", "-1"], {}),
         ("reconstruct readme --noise 1e160",
          ["reconstruct", *readme, "--L", "1", "--noise", "1e160"], {}),
@@ -225,6 +263,8 @@ def run(src: Path, workdir: Path, argv: list, extra: dict) -> tuple:
 def write_inputs(src: Path, workdir: Path) -> None:
     for name, text in README_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
+    for name, doc in OBJECT_FILES.items():
+        (workdir / name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", WRITE_GENERATED_FILES, *map(str, HEAT_SIZES)],
                    cwd=workdir, env=env, check=True)
@@ -276,7 +316,17 @@ def main() -> int:
             print("\n".join(describe(name, base, head)))
     head_name = args.head or "working tree"
     print(f"{differing} of {len(runs)} outputs differ between {args.base} and {head_name}")
-    return 1 if differing else 0
+    # the object form holds the pair files' numbers, so the head prints the same
+    index = {name: i for i, (name, _, _) in enumerate(runs)}
+    mismatched = 0
+    for name, i in index.items():
+        if "readme-object" in name:
+            twin = name.replace("readme-object", "readme")
+            if outputs["head"][i] != outputs["head"][index[twin]]:
+                mismatched += 1
+                print(f"MISMATCH  {name}: the head prints other output than for {twin}")
+    print(f"{mismatched} object-form runs at {head_name} differ from their pair-file runs")
+    return 1 if differing or mismatched else 0
 
 
 if __name__ == "__main__":
