@@ -31,7 +31,7 @@ from .errors import (
     NotInvertible,
 )
 from .analysis import FRAME, FrameReport, frame_bounds
-from .gram import Gram, TimeGrid, _hat_weight_matrix, _power_sum, discrete_gram, semicont_gram
+from .gram import Gram, TimeGrid, discrete_gram, semicont_gram
 from .spectral import SpectralOperator, VectorSet, _power_profile, _window_length, pair_integral
 
 __all__ = [
@@ -100,10 +100,11 @@ def find_discretization(
     n = 2
     iterations = 0
     last = -math.inf
-    # W and its products with the power sums may overflow; each Gram checks its own
+    # W, the power sums and their products may overflow; each Gram checks its own
     with np.errstate(over="ignore", invalid="ignore"):
         if n <= max_points:
-            W = _hat_weight_matrix(A.to_eigenbasis(G.vectors))
+            ghat = A.to_eigenbasis(G.vectors)
+            W = ghat.T @ np.conj(ghat)
             M = _power_profile(A, [0.0])  # the t = 0 row of every grid
         while n <= max_points:
             # (2j) (L / n) == j (L / (n / 2)) exactly, so only the odd rows are new
@@ -112,7 +113,7 @@ def find_discretization(
             grown[0::2] = M
             grown[1::2] = _power_profile(A, np.arange(1, n, 2) * h)
             M = grown
-            Q = _power_sum(M)
+            Q = M.T @ M.conj()
             # every left-rule weight of a uniform grid is h
             weighted = frame_bounds(Gram(W * (h * Q), "discrete", A.eigenbasis))
             iterations += 1
@@ -176,18 +177,12 @@ def window_scan(A: SpectralOperator, G: VectorSet, lengths) -> WindowScanResult:
         raise ValueError("window lengths must be strictly increasing")
 
     flag = A.is_self_adjoint and A.is_invertible
-    lows, ups, conds, labels = [], [], [], []
-    for L in Ls:
-        rep = frame_bounds(semicont_gram(A, G, L))
-        lows.append(rep.lower)
-        ups.append(rep.upper)
-        conds.append(rep.condition_number)
-        labels.append(rep.classification)
+    reps = [frame_bounds(semicont_gram(A, G, L)) for L in Ls]
     return WindowScanResult(
         lengths=tuple(Ls),
-        lower_bounds=tuple(lows),
-        upper_bounds=tuple(ups),
-        condition_numbers=tuple(conds),
-        classifications=tuple(labels),
+        lower_bounds=tuple(r.lower for r in reps),
+        upper_bounds=tuple(r.upper for r in reps),
+        condition_numbers=tuple(r.condition_number for r in reps),
+        classifications=tuple(r.classification for r in reps),
         invertible_self_adjoint=flag,
     )

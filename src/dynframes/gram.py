@@ -146,28 +146,13 @@ class Gram:
         return S
 
 
-def _hat_weight_matrix(ghat: np.ndarray) -> np.ndarray:
-    return ghat.T @ np.conj(ghat)
-
-
-def _power_sum(M: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sampled pair sums (w M)^T conj M.
-
-    Row i of M holds the powers of every eigenvalue at the i-th time; w
-    weights the times (None for plain sums). Raises DomainError when the
-    sum of squared powers overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = (M if w is None else w[:, None] * M).T @ M.conj()
-    return _require_finite(P, "sampled power sum")
-
-
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> Gram:
     """Closed-form Gram of the orbit family over [0, L]; DomainError if it overflows."""
     ghat = A.to_eigenbasis(G.vectors)
     P = pair_integral_matrix(A, L)
     with np.errstate(over="ignore", invalid="ignore"):  # the Gram checks it
-        shat = _hat_weight_matrix(ghat) * P
+        # np.conj copies a real ghat; ghat.T @ ghat would round as numpy's syrk
+        shat = (ghat.T @ np.conj(ghat)) * P
     return Gram(shat, "closed_form", A.eigenbasis)
 
 
@@ -186,9 +171,10 @@ def discrete_gram(
     else:
         raise ValueError(f"unknown weighting {weights!r}")
     ghat = A.to_eigenbasis(G.vectors)
-    Q = _power_sum(_power_profile(A, T.times), w)
+    M = _power_profile(A, T.times)
     with np.errstate(over="ignore", invalid="ignore"):  # the Gram checks it
-        shat = _hat_weight_matrix(ghat) * Q
+        Q = (M if w is None else w[:, None] * M).T @ M.conj()
+        shat = (ghat.T @ np.conj(ghat)) * Q
     return Gram(shat, "discrete", A.eigenbasis)
 
 

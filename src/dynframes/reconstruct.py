@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotAFrame
 from .analysis import FRAME, frame_bounds
-from .gram import TimeGrid, _hat_weight_matrix, _power_sum
+from .gram import Gram, TimeGrid
 from .spectral import SpectralOperator, VectorSet, _held, _power_profile, _product
 
 __all__ = [
@@ -202,8 +202,9 @@ def reconstruct(
     ghat = A.to_eigenbasis(G.vectors)
     # finite inputs can still overflow below; the Gram, b_hat and the answer are checked
     with np.errstate(over="ignore", invalid="ignore"):
-        S_hat = _hat_weight_matrix(ghat) * _power_sum(profile, weights)
-        report = frame_bounds(S_hat)
+        Q = (profile if weights is None else weights[:, None] * profile).T @ profile.conj()
+        S_hat = (ghat.T @ np.conj(ghat)) * Q
+        report = frame_bounds(Gram(S_hat, "discrete"))
         if report.classification != FRAME:
             raise NotAFrame(
                 f"sampled system lower bound {report.lower:.3e} is below tolerance"

@@ -383,7 +383,6 @@ class VectorSet:
     """Finite ordered family of vectors in C^d, stored as rows."""
 
     vectors: np.ndarray
-    labels: Optional[tuple] = None
 
     def __post_init__(self):
         v = _held(self.vectors, np.complex128, "vectors")
@@ -392,11 +391,6 @@ class VectorSet:
         if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] == 0:
             raise ValueError("vectors must form a nonempty 2-D array")
         object.__setattr__(self, "vectors", v)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != v.shape[0]:
-                raise DimensionMismatch("one label per vector is required")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def dimension(self) -> int:
@@ -562,6 +556,14 @@ def _dims(shape: tuple) -> str:
     return " x ".join("n" if n is None else str(n) for n in shape)
 
 
+def _stated_dimension(data: dict) -> Optional[int]:
+    """A document's "dimension", None when absent; present, it must be a JSON integer."""
+    d = data.get("dimension")
+    if type(d) is not int and "dimension" in data:  # true, 2.0, null and "2" fail
+        raise ValueError(f"dimension must be an integer, got {d!r}")
+    return d
+
+
 def operator_to_dict(A: SpectralOperator) -> dict:
     return {
         "dimension": A.dimension,
@@ -581,7 +583,7 @@ def operator_from_dict(data: dict) -> SpectralOperator:
         raise ValueError(f"operator document missing key {exc}") from None
     lam = _from_pairs(raw, (None,), "eigenvalues")
     d = lam.size
-    if data.get("dimension", d) != d:
+    if _stated_dimension(data) not in (None, d):
         raise ValueError(f"dimension field is {data['dimension']} but {d} eigenvalues were given")
     basis, tol = data.get("eigenbasis"), data.get("tolerance")
     if basis is not None:
@@ -596,10 +598,7 @@ def operator_from_dict(data: dict) -> SpectralOperator:
 
 
 def vectors_to_dict(G: VectorSet) -> dict:
-    out = {"dimension": G.dimension, "vectors": _to_object(G.vectors)}
-    if G.labels is not None:
-        out["labels"] = list(G.labels)
-    return out
+    return {"dimension": G.dimension, "vectors": _to_object(G.vectors)}
 
 
 def vectors_from_dict(data: dict) -> VectorSet:
@@ -609,19 +608,17 @@ def vectors_from_dict(data: dict) -> VectorSet:
         raw = data["vectors"]
     except KeyError as exc:
         raise ValueError(f"vector document missing key {exc}") from None
+    d = _stated_dimension(data)
     if not isinstance(raw, dict):
         # nested pairs: name the first vector of another length
         if not (raw and isinstance(raw, list) and all(isinstance(vec, list) for vec in raw)):
             raise ValueError("vectors must be a nonempty list of lists of [re, im] pairs "
                              "or an array object")
-        d = data.get("dimension", len(raw[0]))
+        d = len(raw[0]) if d is None else d
         for i, vec in enumerate(raw):
             if len(vec) != d:
                 raise ValueError(f"vector {i} has length {len(vec)}, expected {d}")
-    labels = data.get("labels")
-    if not (labels is None or isinstance(labels, list)):
-        raise ValueError("labels must be a list")
-    return VectorSet(_from_pairs(raw, (None, data.get("dimension")), "vectors"), labels)
+    return VectorSet(_from_pairs(raw, (None, d), "vectors"))
 
 
 def load_operator(path) -> SpectralOperator:

@@ -121,13 +121,10 @@ def operator_arrays_by_element(data):
 
 
 def vectors_to_dict_by_element(G):
-    out = {
+    return {
         "dimension": G.dimension,
         "vectors": [[complex_to_pair(x) for x in g] for g in G],
     }
-    if G.labels is not None:
-        out["labels"] = list(G.labels)
-    return out
 
 
 def vectors_array_by_element(data):

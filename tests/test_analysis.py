@@ -316,6 +316,15 @@ def test_overflow_raises_domain_error_without_warnings():
         lambda: bessel_upper_constant(A, 400.0),
         lambda: apply_power_batch(SpectralOperator([3.0]), [800.0], [1.0]),
     )
+    # finite powers whose sampled sums overflow: the normal equations of 64
+    # samples on [0, 400], and the doubling search past a finite window Gram
+    S64 = Samples(np.ones((1, 64)), TimeGrid.uniform(64, 400.0).times)
+    calls += (
+        lambda: reconstruct(A, G, S64),
+        lambda: reconstruct(A, G, S64, mode="riemann", L=400.0),
+        lambda: find_discretization(SpectralOperator([3.0]), VectorSet([[1.0]]),
+                                    math.log(1e306) / (2.0 * math.log(3.0)), 0.999),
+    )
     # finite generators whose weight products ghat^T conj(ghat) overflow
     cycle = heat_cycle_operator(8, 1.0)
     huge = VectorSet(np.full((2, 8), 1e200))

@@ -253,7 +253,13 @@ _GOOD_VECTORS = {"vectors": [[[1.0, 0.0], [1.0, 0.0]]]}
     pytest.param("op", {**_GOOD_OP, "tolerance": "0.6"}, id="string-as-tolerance"),
     pytest.param("op", {"eigenvalues": [[10**400, 0.0], [0.5, 0.0]]}, id="integer-beyond-double"),
     pytest.param("vectors", {"vectors": [5]}, id="number-as-vector"),
-    pytest.param("vectors", {**_GOOD_VECTORS, "labels": 5}, id="number-as-labels"),
+    # a stated dimension must be a JSON integer, in either array form of either file
+    *[pytest.param(kind, {**doc, "dimension": bad}, id=f"{form}-{kind}-dimension-{name}")
+      for kind, form, doc in (("op", "pair", _GOOD_OP), ("op", "object", OBJECT_OP),
+                              ("vectors", "pair", _GOOD_VECTORS),
+                              ("vectors", "object", OBJECT_VECTORS))
+      for bad, name in ((True, "true"), (2.0, "2.0"), (None, "null"), ("2", "string"))
+      if (kind, form, name) != ("op", "pair", "null")],  # that is null-dimension
 ])
 def test_malformed_documents_are_input_errors(tmp_path, capsys, kind, doc):
     docs = {"op": _GOOD_OP, "vectors": _GOOD_VECTORS, kind: doc}

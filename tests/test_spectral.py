@@ -23,7 +23,13 @@ from dynframes.discretize import (
     window_scan,
 )
 from dynframes.errors import DimensionMismatch, DomainError
-from dynframes.gram import TimeGrid, _power_sum, bessel_sum, quadrature_gram, semicont_gram
+from dynframes.gram import (
+    TimeGrid,
+    bessel_sum,
+    discrete_gram,
+    quadrature_gram,
+    semicont_gram,
+)
 from dynframes.reconstruct import Samples, heat_cycle_operator, reconstruct, sample
 from dynframes.spectral import (
     SpectralOperator,
@@ -273,7 +279,9 @@ def test_power_kernels_are_real_for_a_heat_cycle():
     assert A._log.dtype == M.dtype == np.float64
     assert not A._log.flags.writeable
     assert pair_integral_matrix(A, 1.0).dtype == np.float64
-    assert _power_sum(M).dtype == np.float64
+    # a one-hot sensor has real eigen-coordinates, so the power sum stays real
+    T = TimeGrid(np.arange(16) / 16, 1.0)
+    assert discrete_gram(A, VectorSet(np.eye(8)[[0]]), T).hat.dtype == np.float64
 
 
 @pytest.mark.parametrize("lam", [[0.5, -1.0], [0.5, 1j]], ids=["minus_one", "non_real"])
@@ -281,7 +289,8 @@ def test_power_kernels_stay_complex_off_the_half_line(lam):
     A = SpectralOperator(lam)
     M = _power_profile(A, [0.0, 0.5, 1.0])
     P = pair_integral_matrix(A, 2.0)
-    assert M.dtype == P.dtype == _power_sum(M).dtype == np.complex128
+    shat = discrete_gram(A, VectorSet(np.eye(2)[[0]]), TimeGrid([0.0, 0.5, 1.0], 2.0)).hat
+    assert M.dtype == P.dtype == shat.dtype == np.complex128
     if lam[1] == -1.0:
         # arg(-1) = -pi: (-1)^(1/2) = -i, and conj(-1)^t cancels (-1)^t
         assert abs(M[1, 1] - (-1j)) < 1e-15
@@ -893,11 +902,9 @@ def test_group_eigenspaces_matches_pairwise_oracle(lam):
 # vector sets and JSON interchange
 
 
-def test_vector_set_shapes_and_labels():
+def test_vector_set_shapes():
     V = VectorSet(np.ones(3))
     assert len(V) == 1 and V.dimension == 3
-    with pytest.raises(DimensionMismatch):
-        VectorSet(np.ones((2, 3)), labels=("only one",))
     with pytest.raises(ValueError, match="^vectors must form a nonempty 2-D array$"):
         VectorSet(np.empty((0, 3)))
     with pytest.raises(ValueError, match="^vectors must be finite$"):
@@ -924,12 +931,14 @@ def test_diagonal_operator_json_keeps_null_basis(tmp_path):
 
 
 def test_vectors_json_round_trip(tmp_path):
-    V = VectorSet(np.array([[1.0, 2.0j], [3.0, -1.0]]), labels=("a", "b"))
+    V = VectorSet(np.array([[1.0, 2.0j], [3.0, -1.0]]))
     path = tmp_path / "vecs.json"
     save_vectors(V, path)
     W = load_vectors(path)
     np.testing.assert_allclose(W.vectors, V.vectors, atol=0)
-    assert W.labels == ("a", "b")
+    # a "labels" key, which older files carry, is ignored like any unknown key
+    doc = {**vectors_to_dict(V), "labels": ["a", "b"]}
+    assert np.array_equal(vectors_from_dict(doc).vectors, V.vectors)
 
 
 # signed zeros, subnormals and the extremes of the double range, among
@@ -962,8 +971,7 @@ def json_systems(draw):
     tol = draw(st.none() | st.floats(1e-14, 1e-3))
     A = SpectralOperator(_complex_array(draw, (d,)), basis, tol)
     m = draw(st.integers(1, 4))
-    labels = draw(st.none() | st.lists(st.text(max_size=5), min_size=m, max_size=m))
-    return A, VectorSet(_complex_array(draw, (m, d)), labels)
+    return A, VectorSet(_complex_array(draw, (m, d)))
 
 
 def _bitwise_equal(a, b):
@@ -991,7 +999,6 @@ def test_json_documents_match_the_element_by_element_oracle(system):
     W = vectors_from_dict(doc)
     assert np.array_equal(W.vectors, G.vectors)
     assert _bitwise_equal(W.vectors, vectors_array_by_element(doc))
-    assert W.labels == G.labels
 
 
 @given(json_systems())
@@ -1016,7 +1023,6 @@ def test_saved_documents_reload_bit_for_bit(tmp_path_factory, system):
     save_vectors(G, path)
     W = load_vectors(path)
     assert _bitwise_equal(W.vectors, G.vectors)
-    assert W.labels == G.labels
 
 
 def test_json_validation_errors():

@@ -36,6 +36,13 @@ The corpus runs:
   basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
   0.99 in each format (6 doublings), once with ``--max-points 48``,
   which ends in ``NoConvergence``, and once with ``--max-points 1``;
+- ``complete`` on files that state ``"dimension"`` as something other
+  than a JSON integer: an operator and a vectors file with ``true`` (on
+  one-dimensional data, so ``true`` reads as 1) and with ``2.0``, and an
+  object-form vectors file with ``null``; a revision with one integer rule
+  for the field reports ``invalid op file`` or ``invalid vectors file`` on
+  each. Also ``complete`` on README's vectors with an extra ``"labels"``
+  key, which loads like README's file;
 - ``analyze`` and ``complete`` in each format on README's operator and
   generators written in the object form (``{"dtype", "shape", "base64"}``),
   and ``complete`` on an object-form operator whose payload is one byte
@@ -107,15 +114,26 @@ def _array_object(dtype: str, shape: list, doubles: list, cut: int = 0) -> dict:
             "base64": base64.b64encode(raw[:len(raw) - cut]).decode("ascii")}
 
 
-# README's operator and generators in the object form, and an operator whose
-# payload is one byte short
-OBJECT_FILES = {
+README_OP = json.loads(README_FILES["readme-op.json"])
+README_VECTORS = json.loads(README_FILES["readme-vectors.json"])
+# README's operator and generators in the object form, an operator whose
+# payload is one byte short, and documents whose "dimension" is no integer
+JSON_FILES = {
     "readme-object-op.json": {"eigenvalues": _array_object("<c16", [2], [1.0, 0.0, 0.5, 0.0]),
                               "eigenbasis": None},
     "readme-object-vectors.json": {"vectors": _array_object(
         "<c16", [2, 2], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])},
     "short-object-op.json": {"eigenvalues": _array_object("<c16", [2], [1.0, 0.0, 0.5, 0.0], 1),
                              "eigenbasis": None},
+    "one-op.json": {"eigenvalues": [[0.5, 0.0]]},
+    "one-vectors.json": {"vectors": [[[1.0, 0.0]]]},
+    "dimension-true-op.json": {"eigenvalues": [[0.5, 0.0]], "dimension": True},
+    "dimension-true-vectors.json": {"vectors": [[[1.0, 0.0]]], "dimension": True},
+    "dimension-float-op.json": {**README_OP, "dimension": 2.0},
+    "dimension-float-vectors.json": {**README_VECTORS, "dimension": 2.0},
+    "dimension-null-object-vectors.json": {"vectors": _array_object(
+        "<c16", [2, 2], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]), "dimension": None},
+    "labels-vectors.json": {**README_VECTORS, "labels": ["a", "b"]},
 }
 WRITE_GENERATED_FILES = """
 import sys
@@ -222,6 +240,18 @@ def corpus() -> list:
                                       "--vectors", "readme-vectors.json"], {}),
         ("complete short object op file", ["complete", "--op", "short-object-op.json",
                                            "--vectors", "readme-vectors.json"], {}),
+    ]
+    for what, op, vectors in (
+        ("dimension true op", "dimension-true-op.json", "one-vectors.json"),
+        ("dimension true vectors", "one-op.json", "dimension-true-vectors.json"),
+        ("dimension 2.0 op", "dimension-float-op.json", "readme-vectors.json"),
+        ("dimension 2.0 vectors", "readme-op.json", "dimension-float-vectors.json"),
+        ("dimension null object vectors", "readme-op.json",
+         "dimension-null-object-vectors.json"),
+        ("labels vectors", "readme-op.json", "labels-vectors.json"),
+    ):
+        runs.append((f"complete {what}", ["complete", "--op", op, "--vectors", vectors], {}))
+    runs += [
         ("reconstruct readme --noise -1", ["reconstruct", *readme, "--L", "1", "--noise", "-1"], {}),
         ("reconstruct readme --noise 1e160",
          ["reconstruct", *readme, "--L", "1", "--noise", "1e160"], {}),
@@ -263,7 +293,7 @@ def run(src: Path, workdir: Path, argv: list, extra: dict) -> tuple:
 def write_inputs(src: Path, workdir: Path) -> None:
     for name, text in README_FILES.items():
         (workdir / name).write_text(text, encoding="utf-8")
-    for name, doc in OBJECT_FILES.items():
+    for name, doc in JSON_FILES.items():
         (workdir / name).write_text(json.dumps(doc) + "\n", encoding="utf-8")
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", WRITE_GENERATED_FILES, *map(str, HEAT_SIZES)],
