@@ -120,7 +120,15 @@ def frame_bounds(S) -> FrameReport:
         M, src = S.hat, S.method
     else:
         M, src = _check_hermitian(S, "frame_bounds input"), "matrix"
-    w = np.linalg.eigvalsh(M)
+    return _frame_report(np.linalg.eigvalsh(M), src)
+
+
+def _frame_report(w: np.ndarray, src: str) -> FrameReport:
+    """``frame_bounds``' report on a Gram from its ascending eigenvalues ``w``.
+
+    A stacked ``eigvalsh`` gives one row of ``w`` per Gram, each from the
+    same LAPACK call that one Gram alone would get.
+    """
     if not np.isfinite(w).all():
         raise DomainError("gram eigenvalues are non-finite (its norm overflows)")
     lower = float(w[0])
@@ -141,7 +149,7 @@ def frame_bounds(S) -> FrameReport:
         lower=lower,
         upper=upper,
         classification=classification,
-        dimension=M.shape[0],
+        dimension=w.shape[0],
         method=f"eigvalsh/{src}",
         condition_number=cond,
     )

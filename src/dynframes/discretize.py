@@ -14,11 +14,21 @@ midpoints only, so a search that accepts n points evaluates n rows in all.
 One power sum Q per doubling gives both the weighted Gram (every left-rule
 weight is L / n) and the accepted grid's plain Gram, which is the array
 ``discrete_gram`` builds on that grid.
+
+``window_scan`` forms a scan in one pass: the eigen-coordinates and
+W = ghat^T conj(ghat) once, the pair integrals of all k lengths as one
+(k, d, d) stack, one Hermitian and finiteness check over the stack and one
+stacked ``eigvalsh``, whose rows are the ones each Gram alone would get,
+bit for bit. If the stack fails, the lengths run one at a time, so the
+first failing length raises the error that ``semicont_gram`` raises for
+it. The search and the certificate also form the eigen-coordinates and W
+once, for their window Gram and their discrete Grams alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +37,21 @@ from .errors import (
     DiscreteNotFrame,
     DomainError,
     NoConvergence,
+    NonHermitian,
     NotAFrame,
     NotInvertible,
 )
-from .analysis import FRAME, FrameReport, frame_bounds
-from .gram import Gram, TimeGrid, discrete_gram, semicont_gram
-from .spectral import SpectralOperator, VectorSet, _power_profile, _window_length, pair_integral
+from .analysis import FRAME, FrameReport, _frame_report, frame_bounds
+from .gram import Gram, TimeGrid, _check_hermitian
+from .spectral import (
+    SpectralOperator,
+    VectorSet,
+    _power_profile,
+    _window_integral,
+    _window_length,
+    pair_integral,
+    pair_integral_matrix,
+)
 
 __all__ = [
     "DiscretizationResult",
@@ -90,7 +109,11 @@ def find_discretization(
     target_ratio = float(target_ratio)
     if not 0.0 < target_ratio < 1.0:
         raise ValueError("target_ratio must lie strictly between 0 and 1")
-    sc = frame_bounds(semicont_gram(A, G, L))
+    max_points = operator.index(max_points)
+    ghat = A.to_eigenbasis(G.vectors)
+    with np.errstate(over="ignore", invalid="ignore"):  # each Gram checks its own
+        W = ghat.T @ np.conj(ghat)
+    sc = frame_bounds(_window_gram(A, W, L))
     if sc.classification != FRAME:
         raise NotAFrame(
             f"semi-continuous lower bound {sc.lower:.3e} is below tolerance"
@@ -100,11 +123,9 @@ def find_discretization(
     n = 2
     iterations = 0
     last = -math.inf
-    # W, the power sums and their products may overflow; each Gram checks its own
+    # the power sums and their products may overflow; each Gram checks its own
     with np.errstate(over="ignore", invalid="ignore"):
         if n <= max_points:
-            ghat = A.to_eigenbasis(G.vectors)
-            W = ghat.T @ np.conj(ghat)
             M = _power_profile(A, [0.0])  # the t = 0 row of every grid
         while n <= max_points:
             # (2j) (L / n) == j (L / (n / 2)) exactly, so only the odd rows are new
@@ -147,7 +168,12 @@ def verify_discrete_implies_semicont(
         raise NotInvertible(
             f"smallest eigenvalue modulus {A.min_modulus:.3e} is below tolerance"
         )
-    discrete = frame_bounds(discrete_gram(A, G, T))
+    ghat = A.to_eigenbasis(G.vectors)
+    M = _power_profile(A, T.times)
+    # W and the power sum may overflow; the Gram checks it
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = ghat.T @ np.conj(ghat)
+        discrete = frame_bounds(Gram(W * (M.T @ M.conj()), "discrete", A.eigenbasis))
     if discrete.classification != FRAME:
         raise DiscreteNotFrame(
             f"discrete lower bound {discrete.lower:.3e} is below tolerance"
@@ -155,7 +181,7 @@ def verify_discrete_implies_semicont(
     mhat = float(np.min(T.riemann_weights()))
     decay = A.min_modulus
     analytic = discrete.lower * pair_integral(decay, decay, mhat).real
-    cont = frame_bounds(semicont_gram(A, G, L))
+    cont = frame_bounds(_window_gram(A, W, L))
     if cont.lower < analytic * (1.0 - 1e-9) - 1e-12:
         raise RuntimeError(
             "internal inconsistency: continuous bound fell below its certificate"
@@ -177,7 +203,20 @@ def window_scan(A: SpectralOperator, G: VectorSet, lengths) -> WindowScanResult:
         raise ValueError("window lengths must be strictly increasing")
 
     flag = A.is_self_adjoint and A.is_invertible
-    reps = [frame_bounds(semicont_gram(A, G, L)) for L in Ls]
+    ghat = A.to_eigenbasis(G.vectors)
+    with np.errstate(over="ignore", invalid="ignore"):  # the Grams' check catches it
+        W = ghat.T @ np.conj(ghat)
+    log = A._log
+    try:
+        # every window at once: one (k, d, d) stack of pair integrals and Grams
+        P = _window_integral(log[:, None] + log.conj()[None, :], np.array(Ls)[:, None, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            hats = _check_hermitian(W * P, "semi-continuous gram", stack=True)
+    except (DomainError, NonHermitian):
+        # one window at a time, so the first failing length raises its own error
+        reps = [frame_bounds(_window_gram(A, W, L)) for L in Ls]
+    else:
+        reps = [_frame_report(w, "closed_form") for w in np.linalg.eigvalsh(hats)]
     return WindowScanResult(
         lengths=tuple(Ls),
         lower_bounds=tuple(r.lower for r in reps),
@@ -186,3 +225,10 @@ def window_scan(A: SpectralOperator, G: VectorSet, lengths) -> WindowScanResult:
         classifications=tuple(r.classification for r in reps),
         invertible_self_adjoint=flag,
     )
+
+
+def _window_gram(A: SpectralOperator, W: np.ndarray, L: float) -> Gram:
+    """``semicont_gram(A, G, L)``, from the W = ghat^T conj(ghat) of G it would form."""
+    P = pair_integral_matrix(A, L)
+    with np.errstate(over="ignore", invalid="ignore"):  # the Gram checks it
+        return Gram(W * P, "closed_form", A.eigenbasis)

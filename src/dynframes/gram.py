@@ -46,13 +46,17 @@ __all__ = [
 _HERMITIAN_TOL = 1e-8
 
 
-def _check_hermitian(S, label: str) -> np.ndarray:
+def _check_hermitian(S, label: str, stack: bool = False) -> np.ndarray:
     """Hermitian part of S, float64 for real S; raises unless S is square,
-    nonempty, finite and Hermitian."""
+    nonempty, finite and Hermitian.
+
+    With ``stack``, S is a (k, d, d) stack of such matrices, each checked
+    against its own scale in one pass, and the first that fails raises.
+    """
     S = np.asarray(S, dtype=np.float64 if np.isrealobj(S) else np.complex128)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim != 2 + stack or S.shape[-1] != S.shape[-2]:
         raise DimensionMismatch("gram matrix must be square")
-    if S.size == 0:
+    if S.shape[-1] == 0:
         raise DimensionMismatch(f"{label} is empty (0 x 0)")
     # relative to the largest entry, so a rescaled matrix keeps its verdict;
     # halved, so the scale is finite exactly when S is (halving both sides
@@ -60,16 +64,22 @@ def _check_hermitian(S, label: str) -> np.ndarray:
     # "invalid"), and an asymmetry that still overflows is inf and fails
     with np.errstate(over="ignore", invalid="ignore"):
         half = 0.5 * S
-        scale = float(np.max(np.abs(half)))
-        asym = float(np.max(np.abs(half - half.conj().T)))
-    if not scale < math.inf:  # NaN fails too
-        raise DomainError(
-            f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
+        herm = half.conj().swapaxes(-1, -2)
+        scale = np.abs(half).max(axis=(-2, -1))
+        asym = np.abs(half - herm).max(axis=(-2, -1))
+    # the tolerance scales the bound, not the asymmetry: an all-zero matrix passes
+    failed = ~(scale < math.inf) | (asym > _HERMITIAN_TOL * scale)  # NaN fails too
+    if failed.any():
+        i = np.argmax(failed)
+        if not np.ravel(scale)[i] < math.inf:
+            raise DomainError(
+                f"{label} has non-finite entries (overflowed powers or NaN/inf input)"
+            )
+        raise NonHermitian(
+            f"{label} asymmetry {2.0 * float(np.ravel(asym)[i]):.3e} exceeds tolerance"
         )
-    if asym > _HERMITIAN_TOL * scale:
-        raise NonHermitian(f"{label} asymmetry {2.0 * asym:.3e} exceeds tolerance")
     # the eigensolver then reads either triangle alike; halving keeps it finite
-    return half + half.conj().T
+    return half + herm
 
 
 @dataclass(frozen=True, eq=False)

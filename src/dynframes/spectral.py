@@ -129,9 +129,11 @@ def _window_length(L) -> float:
     return L
 
 
-def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
+def _window_integral(alpha: np.ndarray, L) -> np.ndarray:
     """(e^{L alpha} - 1) / alpha elementwise: the integral of e^{t alpha} over [0, L].
 
+    L is a length that ``_window_length`` has passed, or an array of them
+    that broadcasts against alpha, so one call integrates over many windows.
     Computed as L expm1(z) / z with z = L alpha, so no e^z - 1 cancels as
     alpha nears 0 and the result keeps full relative precision there. Returns
     L where |z| < eps, where expm1(z) / z is 1 to rounding (and dividing by a
@@ -139,7 +141,6 @@ def _window_integral(alpha: np.ndarray, L: float) -> np.ndarray:
     eigenvalue); raises DomainError when a value overflows. The result keeps
     alpha's dtype, so the log of a spectrum in [0, inf) gives a real array.
     """
-    L = _window_length(L)
     with np.errstate(over="ignore", invalid="ignore"):
         z = L * alpha
         tiny = np.abs(z) < np.finfo(np.float64).eps
@@ -177,7 +178,8 @@ def pair_integral(lam: complex, mu: complex, L: float) -> complex:
     what makes the formula continuous on and off the branch cut (e.g.
     lam = mu = -1 gives alpha = 0 and the integral equals L).
     """
-    return complex(_window_integral(_principal_log(lam) + np.conj(_principal_log(mu)), L))
+    alpha = _principal_log(lam) + np.conj(_principal_log(mu))
+    return complex(_window_integral(alpha, _window_length(L)))
 
 
 def pair_integral_matrix(A: SpectralOperator, L: float) -> np.ndarray:
@@ -187,7 +189,7 @@ def pair_integral_matrix(A: SpectralOperator, L: float) -> np.ndarray:
     in [0, inf) and complex128 otherwise.
     """
     log = A._log
-    return _window_integral(log[:, None] + log.conj()[None, :], L)
+    return _window_integral(log[:, None] + log.conj()[None, :], _window_length(L))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dynframes.errors import (
     NotInvertible,
 )
 from dynframes.gram import TimeGrid, discrete_gram, semicont_gram
+from dynframes.reconstruct import heat_cycle_operator
 from dynframes.spectral import SpectralOperator, VectorSet, _power_profile
 from helpers import (
     find_discretization_reference,
@@ -144,6 +146,20 @@ def test_find_discretization_evaluates_each_grid_time_once(monkeypatch):
     assert rows == []
 
 
+def test_find_discretization_max_points_is_an_integer_count():
+    # the count goes through operator.index, as grid sizes do: a float is a
+    # TypeError, not a bound, and True is the count 1 in the message
+    rng = np.random.default_rng(0)
+    A = SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8), random_unitary(rng, 8))
+    G = random_vectors(rng, 1, 8)
+    with pytest.raises(TypeError):
+        find_discretization(A, G, 64.0, 0.9, max_points=48.5)
+    with pytest.raises(NoConvergence, match=r"^no uniform grid up to 1 points reached"):
+        find_discretization(A, G, 64.0, 0.9, max_points=True)
+    with pytest.raises(NoConvergence, match=r"^no uniform grid up to 48 points reached"):
+        find_discretization(A, G, 64.0, 0.9, max_points=np.int64(48))
+
+
 def _outcome(search, *args):
     try:
         return search(*args)
@@ -255,6 +271,17 @@ def test_verify_rejects_discrete_nonframe():
         verify_discrete_implies_semicont(A, G, T, 1.0)
 
 
+def test_verify_checks_the_discrete_frame_before_the_window_gram():
+    # one time cannot separate two modes, and the window Gram over [0, 400]
+    # overflows (3^800): the failed hypothesis is reported, not the overflow
+    A = SpectralOperator(np.array([3.0, 0.5]))
+    G = VectorSet(np.array([[1.0, 1.0]]))
+    with pytest.raises(DomainError, match="window integral has non-finite"):
+        semicont_gram(A, G, 400.0)
+    with pytest.raises(DiscreteNotFrame):
+        verify_discrete_implies_semicont(A, G, TimeGrid(np.array([0.0]), 1.0), 400.0)
+
+
 def test_verify_window_validation():
     A = SpectralOperator(np.ones(2))
     G = VectorSet(np.eye(2))
@@ -336,3 +363,68 @@ def test_window_scan_input_validation():
         window_scan(A, G, [0.0, 1.0])
     with pytest.raises(ValueError):
         window_scan(A, G, [1.0, 0.5])
+
+
+def _per_length_scan(A, G, lengths):
+    """window_scan's bounds and verdicts, one semicont_gram per length."""
+    reps = [frame_bounds(semicont_gram(A, G, L)) for L in lengths]
+    return (tuple(r.lower for r in reps), tuple(r.upper for r in reps),
+            tuple(r.condition_number for r in reps), tuple(r.classification for r in reps))
+
+
+def test_window_scan_equals_the_per_length_reports_bit_for_bit():
+    # one stacked pass gives each length the Gram, the check and the LAPACK
+    # call that the length alone gets: a heat cycle (real arithmetic), a
+    # random complex basis, a zero eigenvalue and -1 on the branch cut
+    rng = np.random.default_rng(97)
+    heat = heat_cycle_operator(12, 0.7)
+    systems = [
+        (heat, VectorSet(np.eye(12)[[0, 5]])),
+        (random_normal_operator(rng, 6, max_mod=2.0), random_vectors(rng, 2, 6)),
+        (SpectralOperator(np.array([0.0, 0.5, 1.5j, 2.0]), random_unitary(rng, 4)),
+         random_vectors(rng, 2, 4)),
+        (SpectralOperator(np.array([-1.0, 0.5, -0.7, 1.2]), random_unitary(rng, 4)),
+         random_vectors(rng, 3, 4)),
+    ]
+    assert semicont_gram(*systems[0], 1.0).hat.dtype == np.float64
+    for A, G in systems:
+        for lengths in ([1.0], [0.25, 1.0, 4.0, 16.0], [1e-300, 0.5, 30.0]):
+            scan = window_scan(A, G, lengths)
+            expected = _per_length_scan(A, G, lengths)
+            got = (scan.lower_bounds, scan.upper_bounds, scan.condition_numbers,
+                   scan.classifications)
+            assert got == expected
+
+
+def test_window_scan_of_a_zero_generator_is_incomplete_at_every_length():
+    # every Gram of the stack is zero: its scale is 0, and a zero asymmetry
+    # within 0 times the tolerance passes the Hermitian check
+    for A in (heat_cycle_operator(8, 1.0), SpectralOperator(np.array([0.5, 2j, -1.0]))):
+        G = VectorSet(np.zeros((2, A.dimension)))
+        scan = window_scan(A, G, [0.5, 1.0, 4.0])
+        assert scan.classifications == (INCOMPLETE,) * 3
+        assert scan.lower_bounds == scan.upper_bounds == (0.0,) * 3
+
+
+def test_window_scan_raises_the_first_failing_length_error_as_the_loop_does():
+    diag3 = SpectralOperator(np.array([3.0, 0.5]))
+    ones = SpectralOperator(np.ones(2))
+    cases = [
+        # only the last window integral overflows (3^800)
+        (diag3, VectorSet(np.array([[1.0, 1.0]])), [1.0, 10.0, 400.0]),
+        # W is 1e308 everywhere: the eigenvalues at L = 1 overflow (2e308)
+        # before the Gram at L = 2 does
+        (ones, VectorSet(np.array([[1e154, 1e154]])), [1.0, 2.0]),
+        (ones, VectorSet(np.array([[1e154, 1e154]])), [0.5, 2.0]),
+        # W itself overflows
+        (heat_cycle_operator(8, 1.0), VectorSet(np.full((2, 8), 1e200)), [0.5, 1.0]),
+    ]
+    for A, G, lengths in cases:
+        with pytest.raises(DomainError) as loop:
+            _per_length_scan(A, G, lengths)
+        with pytest.raises(type(loop.value), match=f"^{re.escape(str(loop.value))}$"):
+            window_scan(A, G, lengths)
+    # the finite lengths before the overflow scan as they do alone
+    G = VectorSet(np.array([[1.0, 1.0]]))
+    scan = window_scan(diag3, G, [1.0, 10.0])
+    assert scan.lower_bounds == _per_length_scan(diag3, G, [1.0, 10.0])[0]

@@ -8,6 +8,7 @@ from dynframes.errors import DimensionMismatch, DomainError, NonHermitian
 from dynframes.gram import (
     Gram,
     TimeGrid,
+    _check_hermitian,
     bessel_sum,
     discrete_gram,
     quadrature_gram,
@@ -319,6 +320,36 @@ def test_gram_containers_reject_asymmetry():
                     Gram(S, "discrete")
                 with pytest.raises(DomainError, match="^frame_bounds input has non-finite"):
                     frame_bounds(S)
+
+
+def test_stacked_hermitian_check_scales_each_matrix_on_its_own():
+    rng = np.random.default_rng(5)
+    for dtype in (float, complex):
+        mats = [random_hermitian_noise(rng, 4, dtype) for _ in range(3)]
+        mats[1] *= 1e-200  # its asymmetry is tiny next to the others, and so is its scale
+        mats.append(np.zeros((4, 4), dtype=dtype))  # scale 0 passes, with no NaN
+        stack = np.stack(mats)
+        hats = _check_hermitian(stack, "stack", stack=True)
+        assert hats.dtype == stack.dtype
+        for hat, S in zip(hats, mats):
+            assert hat.tobytes() == _check_hermitian(S, "one").tobytes()
+        # each matrix against its own scale, and the first failure names the error
+        skew = np.eye(4, dtype=dtype)
+        skew[0, 1] = 1e-3
+        bad = stack.copy()
+        bad[1] = 1e-200 * skew
+        bad[3, 2, 0] = np.inf
+        with pytest.raises(NonHermitian, match=r"^stack asymmetry 1\.000e-203 exceeds tolerance$"):
+            _check_hermitian(bad, "stack", stack=True)
+        with pytest.raises(DomainError, match="^stack has non-finite entries"):
+            _check_hermitian(bad[2:], "stack", stack=True)
+    # a stack is no Gram, and a plain matrix is no stack
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        Gram(np.stack([np.eye(2)] * 2), "closed_form")
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        frame_bounds(np.stack([np.eye(2)] * 2))
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        _check_hermitian(np.eye(2), "stack", stack=True)
 
 
 def test_grams_hold_eigen_coordinates_and_build_the_matrix_on_request():

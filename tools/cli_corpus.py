@@ -52,6 +52,12 @@ The corpus runs:
   all of them; on one that reads the form, each object-form run must print
   exactly what the same run prints on README's pair files, and the tool
   checks that on the head revision;
+- overflow in window scans and certificates, on diag(3, 0.5) with the one
+  generator (1, 1): ``lscan --Ls 1,10,400``, whose last window integral
+  overflows (3^800) while the earlier windows are finite, so a scan must
+  raise the first failing length's error, and ``verify --L 400 --times
+  0``, where one time cannot separate the two modes, so the discrete
+  hypothesis fails before the overflowing window Gram is formed;
 - a few input errors, among them windows that are not positive and finite
   on every route: ``analyze --L inf`` and ``analyze --method quadrature
   --L inf``, ``reconstruct --L inf``, ``lscan --Ls 1,nan`` and
@@ -134,6 +140,8 @@ JSON_FILES = {
     "dimension-null-object-vectors.json": {"vectors": _array_object(
         "<c16", [2, 2], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]), "dimension": None},
     "labels-vectors.json": {**README_VECTORS, "labels": ["a", "b"]},
+    "diag3-op.json": {"eigenvalues": [[3.0, 0.0], [0.5, 0.0]]},
+    "ones-vectors.json": {"vectors": [[[1.0, 0.0], [1.0, 0.0]]]},
 }
 WRITE_GENERATED_FILES = """
 import sys
@@ -198,6 +206,7 @@ def corpus() -> list:
                 argv = [*command, "--op", op, "--vectors", vectors, "--format", fmt]
                 runs.append((f"{command[0]} {system} {fmt}", argv, {}))
     readme = ["--op", "readme-op.json", "--vectors", "readme-vectors.json"]
+    diag3 = ["--op", "diag3-op.json", "--vectors", "ones-vectors.json"]
     rotations = ["discretize", "--op", "rot8.json", "--vectors", "rot8-vectors.json",
                  "--L", "64"]
     quadrature = ["analyze", *readme, "--L", "1", "--method", "quadrature", "--panels", "64"]
@@ -263,6 +272,8 @@ def corpus() -> list:
         ("discretize rot8 --max-points 48",
          [*rotations, "--target-ratio", "0.9", "--max-points", "48"], {}),
         ("discretize rot8 --max-points 1", [*rotations, "--max-points", "1"], {}),
+        ("lscan diag3 --Ls 1,10,400", ["lscan", *diag3, "--Ls", "1,10,400"], {}),
+        ("verify diag3 --L 400 --times 0", ["verify", *diag3, "--L", "400", "--times", "0"], {}),
     ]
     return runs
 
