@@ -26,6 +26,7 @@ from .gram import Gram, _check_hermitian
 from .spectral import (
     SpectralOperator,
     VectorSet,
+    _not_bool,
     _window_integral,
     _window_length,
     apply_power_batch,
@@ -209,7 +210,7 @@ def brute_force_completeness(
     constraint.
     """
     L = _window_length(L)
-    grid_points = operator.index(grid_points)
+    grid_points = operator.index(_not_bool(grid_points, "grid_points"))
     d, m = A.dimension, len(G)
     if grid_points < d * m:
         raise ValueError(f"grid_points must be at least d*|G| = {d * m}")

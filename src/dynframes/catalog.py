@@ -9,6 +9,7 @@ identifiers used by the command line (``repro`` subcommand) and the tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,7 +18,7 @@ import numpy as np
 from .analysis import FRAME, completeness_check, frame_bounds
 from .discretize import find_discretization, verify_discrete_implies_semicont
 from .gram import TimeGrid, bessel_sum, discrete_gram, semicont_gram
-from .spectral import SpectralOperator, VectorSet
+from .spectral import SpectralOperator, VectorSet, _not_bool
 
 __all__ = [
     "CatalogEntry",
@@ -307,6 +308,7 @@ def repro_catalog() -> list:
 
 def run_entry(name: str, d: int = 64, L: Optional[float] = None):
     """Run one catalog entry by name at d >= 2; returns (passed, lines)."""
+    d = operator.index(_not_bool(d, "d"))
     if d < 2:
         raise ValueError(f"catalog entries need d >= 2, got d={d}")
     for entry in _ENTRIES:

@@ -1,8 +1,11 @@
 """Command line front end.
 
 Each subcommand's parser names its handler (``set_defaults(handler=...)``),
-and the handler reads the parsed argparse namespace directly. Only
-``reconstruct`` draws random numbers, so only it takes ``--seed``.
+and the handler reads the parsed argparse namespace directly. A file
+command's inputs are built in ``common()``, which registers its handler as
+``handler(args, *_load_inputs(args))``: DYNSAMP_TOL and both files are read
+before the handler checks its own arguments. Only ``reconstruct`` draws
+random numbers, so only it takes ``--seed``.
 
 This module is the package's one report layer: the library returns results,
 and each handler builds its JSON payload and table lines from them. One
@@ -42,7 +45,7 @@ from .catalog import repro_catalog, run_entry
 from .discretize import find_discretization, verify_discrete_implies_semicont, window_scan
 from .gram import TimeGrid, quadrature_gram, semicont_gram
 from .reconstruct import Samples, reconstruct, sample
-from .spectral import default_tolerance, load_operator, load_vectors
+from .spectral import SpectralOperator, VectorSet, default_tolerance, load_operator, load_vectors
 
 __all__ = ["main"]
 
@@ -100,8 +103,7 @@ def _emit(args: argparse.Namespace, obj, table, columns, rows=None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_analyze(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     if args.method == "quadrature":
         gram = quadrature_gram(A, G, args.L, panels=args.panels)
     else:
@@ -120,8 +122,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if rep.classification == FRAME else 2
 
 
-def _cmd_complete(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_complete(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     cert = completeness_check(A, G)
     table = [f"complete: {cert.complete}"] + [
         f"  eigenvalue {g.value:.6g}: rank {g.achieved}/{g.required} on indices {list(g.indices)}"
@@ -134,8 +135,7 @@ def _cmd_complete(args: argparse.Namespace) -> int:
     return 0 if cert.complete else 2
 
 
-def _cmd_bessel(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_bessel(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     energy = bessel_check_fd(A, G)
     constant = bessel_upper_constant(A, args.L)
     obj = {"bessel": True, "range_energy": energy, "upper_constant": constant,
@@ -150,8 +150,7 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_carleson(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_carleson(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     ghat = A.to_eigenbasis(G.vectors[0])
     report = carleson_check(A.eigenvalues, P_norms=np.abs(ghat))
     table = [
@@ -167,8 +166,7 @@ def _cmd_carleson(args: argparse.Namespace) -> int:
     return 0 if report.verdict != "not_frameable" else 2
 
 
-def _cmd_discretize(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_discretize(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     if args.max_points < 2:
         raise CLIError(f"--max-points must be at least 2, got {args.max_points}")
     result = find_discretization(A, G, args.L, target_ratio=args.target_ratio,
@@ -189,8 +187,7 @@ def _cmd_discretize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_verify(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     if not args.times:
         raise CLIError("verify needs --times as a comma-separated list")
     times = np.array([float(x) for x in args.times.split(",")])
@@ -206,8 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lscan(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_lscan(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     if not args.lengths:
         raise CLIError("lscan needs --Ls as a comma-separated list")
     result = window_scan(A, G, [float(x) for x in args.lengths.split(",")])
@@ -229,8 +225,7 @@ def _cmd_lscan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    A, G = _load_inputs(args)
+def _cmd_reconstruct(args: argparse.Namespace, A: SpectralOperator, G: VectorSet) -> int:
     n_times, noise = args.times, args.noise
     if not 0.0 <= noise < np.inf:
         raise CLIError(f"--noise must be a finite nonnegative number, got {noise:g}")
@@ -295,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, handler):
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=lambda args: handler(args, *_load_inputs(args)))
         sp.add_argument("--op", dest="operator_path", required=True,
                         help="operator JSON file")
         sp.add_argument("--vectors", dest="vectors_path", required=True,

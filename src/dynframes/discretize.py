@@ -19,10 +19,10 @@ weight is L / n) and the accepted grid's plain Gram, which is the array
 W = ghat^T conj(ghat) once, the pair integrals of all k lengths as one
 (k, d, d) stack, one Hermitian and finiteness check over the stack and one
 stacked ``eigvalsh``, whose rows are the ones each Gram alone would get,
-bit for bit. If the stack fails, the lengths run one at a time, so the
-first failing length raises the error that ``semicont_gram`` raises for
-it. The search and the certificate also form the eigen-coordinates and W
-once, for their window Gram and their discrete Grams alike.
+bit for bit. If the stack fails, the lengths run one at a time through
+``semicont_gram``, so the first failing length raises its own error. The
+search and the certificate build their window Gram where they form W, as
+``semicont_gram`` would, and their discrete Grams from the same W.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ from .errors import (
     NotInvertible,
 )
 from .analysis import FRAME, FrameReport, _frame_report, frame_bounds
-from .gram import Gram, TimeGrid, _check_hermitian
+from .gram import Gram, TimeGrid, _check_hermitian, semicont_gram
 from .spectral import (
     SpectralOperator,
     VectorSet,
+    _not_bool,
     _power_profile,
     _window_integral,
     _window_length,
@@ -109,22 +110,19 @@ def find_discretization(
     target_ratio = float(target_ratio)
     if not 0.0 < target_ratio < 1.0:
         raise ValueError("target_ratio must lie strictly between 0 and 1")
-    max_points = operator.index(max_points)
+    max_points = operator.index(_not_bool(max_points, "max_points"))
     ghat = A.to_eigenbasis(G.vectors)
-    with np.errstate(over="ignore", invalid="ignore"):  # each Gram checks its own
-        W = ghat.T @ np.conj(ghat)
-    sc = frame_bounds(_window_gram(A, W, L))
-    if sc.classification != FRAME:
-        raise NotAFrame(
-            f"semi-continuous lower bound {sc.lower:.3e} is below tolerance"
-        )
-    target = target_ratio * sc.lower
-
     n = 2
-    iterations = 0
     last = -math.inf
-    # the power sums and their products may overflow; each Gram checks its own
+    # W and its products may overflow; each Gram checks its own
     with np.errstate(over="ignore", invalid="ignore"):
+        W = ghat.T @ np.conj(ghat)
+        sc = frame_bounds(Gram(W * pair_integral_matrix(A, L), "closed_form", A.eigenbasis))
+        if sc.classification != FRAME:
+            raise NotAFrame(
+                f"semi-continuous lower bound {sc.lower:.3e} is below tolerance"
+            )
+        target = target_ratio * sc.lower
         if n <= max_points:
             M = _power_profile(A, [0.0])  # the t = 0 row of every grid
         while n <= max_points:
@@ -137,10 +135,10 @@ def find_discretization(
             Q = M.T @ M.conj()
             # every left-rule weight of a uniform grid is h
             weighted = frame_bounds(Gram(W * (h * Q), "discrete", A.eigenbasis))
-            iterations += 1
             last = weighted.lower
             if weighted.lower >= target:
                 plain = frame_bounds(Gram(W * Q, "discrete", A.eigenbasis))
+                iterations = n.bit_length() - 1  # n = 2^iterations
                 return DiscretizationResult(TimeGrid.uniform(n, L), plain, h, iterations)
             n *= 2
     raise NoConvergence(
@@ -170,18 +168,17 @@ def verify_discrete_implies_semicont(
         )
     ghat = A.to_eigenbasis(G.vectors)
     M = _power_profile(A, T.times)
-    # W and the power sum may overflow; the Gram checks it
+    # W, the power sum and the window integrals may overflow; each Gram checks its own
     with np.errstate(over="ignore", invalid="ignore"):
         W = ghat.T @ np.conj(ghat)
         discrete = frame_bounds(Gram(W * (M.T @ M.conj()), "discrete", A.eigenbasis))
-    if discrete.classification != FRAME:
-        raise DiscreteNotFrame(
-            f"discrete lower bound {discrete.lower:.3e} is below tolerance"
-        )
-    mhat = float(np.min(T.riemann_weights()))
-    decay = A.min_modulus
-    analytic = discrete.lower * pair_integral(decay, decay, mhat).real
-    cont = frame_bounds(_window_gram(A, W, L))
+        if discrete.classification != FRAME:
+            raise DiscreteNotFrame(
+                f"discrete lower bound {discrete.lower:.3e} is below tolerance"
+            )
+        mhat = float(np.min(T.riemann_weights()))
+        analytic = discrete.lower * pair_integral(A.min_modulus, A.min_modulus, mhat).real
+        cont = frame_bounds(Gram(W * pair_integral_matrix(A, L), "closed_form", A.eigenbasis))
     if cont.lower < analytic * (1.0 - 1e-9) - 1e-12:
         raise RuntimeError(
             "internal inconsistency: continuous bound fell below its certificate"
@@ -202,19 +199,17 @@ def window_scan(A: SpectralOperator, G: VectorSet, lengths) -> WindowScanResult:
     if any(b <= a for a, b in zip(Ls, Ls[1:])):
         raise ValueError("window lengths must be strictly increasing")
 
-    flag = A.is_self_adjoint and A.is_invertible
     ghat = A.to_eigenbasis(G.vectors)
-    with np.errstate(over="ignore", invalid="ignore"):  # the Grams' check catches it
-        W = ghat.T @ np.conj(ghat)
     log = A._log
     try:
         # every window at once: one (k, d, d) stack of pair integrals and Grams
         P = _window_integral(log[:, None] + log.conj()[None, :], np.array(Ls)[:, None, None])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the stack's check catches it
+            W = ghat.T @ np.conj(ghat)
             hats = _check_hermitian(W * P, "semi-continuous gram", stack=True)
     except (DomainError, NonHermitian):
         # one window at a time, so the first failing length raises its own error
-        reps = [frame_bounds(_window_gram(A, W, L)) for L in Ls]
+        reps = [frame_bounds(semicont_gram(A, G, L)) for L in Ls]
     else:
         reps = [_frame_report(w, "closed_form") for w in np.linalg.eigvalsh(hats)]
     return WindowScanResult(
@@ -223,12 +218,5 @@ def window_scan(A: SpectralOperator, G: VectorSet, lengths) -> WindowScanResult:
         upper_bounds=tuple(r.upper for r in reps),
         condition_numbers=tuple(r.condition_number for r in reps),
         classifications=tuple(r.classification for r in reps),
-        invertible_self_adjoint=flag,
+        invertible_self_adjoint=A.is_self_adjoint and A.is_invertible,
     )
-
-
-def _window_gram(A: SpectralOperator, W: np.ndarray, L: float) -> Gram:
-    """``semicont_gram(A, G, L)``, from the W = ghat^T conj(ghat) of G it would form."""
-    P = pair_integral_matrix(A, L)
-    with np.errstate(over="ignore", invalid="ignore"):  # the Gram checks it
-        return Gram(W * P, "closed_form", A.eigenbasis)

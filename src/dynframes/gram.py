@@ -27,6 +27,7 @@ from .spectral import (
     SpectralOperator,
     VectorSet,
     _held,
+    _not_bool,
     _power_profile,
     _require_finite,
     _window_length,
@@ -90,7 +91,7 @@ class TimeGrid:
     L: float
 
     def __post_init__(self):
-        t = _held(self.times, np.float64, "time grid times").reshape(-1)
+        t = _held(self.times, np.float64, "time grid times", one_axis=True).reshape(-1)
         if t.size == 0:
             raise ValueError("a time grid needs at least one point")
         L = _window_length(self.L)
@@ -105,7 +106,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n: int, L: float) -> "TimeGrid":
-        n = operator.index(n)
+        n = operator.index(_not_bool(n, "n"))
         if n < 1:
             raise ValueError("uniform grid needs n >= 1 points")
         L = _window_length(L)
@@ -213,7 +214,7 @@ def quadrature_gram(
     even integer, at least 2.
     """
     L = _window_length(L)
-    panels = operator.index(panels)
+    panels = operator.index(_not_bool(panels, "panels"))
     if panels < 2 or panels % 2 != 0:
         raise ValueError("panels must be an even count >= 2")
     nodes = np.linspace(0.0, L, panels + 1)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NotAFrame
 from .analysis import FRAME, frame_bounds
 from .gram import Gram, TimeGrid
-from .spectral import SpectralOperator, VectorSet, _held, _power_profile, _product
+from .spectral import SpectralOperator, VectorSet, _held, _not_bool, _power_profile, _product
 
 __all__ = [
     "SampleRecord",
@@ -51,6 +51,8 @@ class SampleRecord(_SampleFields):
     __slots__ = ()
 
     def __new__(cls, generator_index, time, value):
+        if type(generator_index) is bool:  # not _not_bool: records come by the thousand
+            raise TypeError(f"generator_index must be a number, not the bool {generator_index}")
         generator_index = operator.index(generator_index)
         if generator_index < 1:
             raise ValueError("generator_index is 1-based")
@@ -250,7 +252,7 @@ def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
     real Fourier basis (constant, cosine and sine pairs, and the alternating
     vector when d is even), which the operator stores real.
     """
-    d = operator.index(d)
+    d = operator.index(_not_bool(d, "d"))
     if d < 2:
         raise ValueError("the cycle needs at least 2 vertices")
     diffusion = float(diffusion)

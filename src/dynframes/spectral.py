@@ -106,13 +106,23 @@ def _principal_log(z) -> np.ndarray:
         return np.log(np.abs(z)) + 1j * np.where(arg == np.pi, -np.pi, arg)
 
 
-def _held(values, dtype, what: str) -> np.ndarray:
-    """A read-only C-order copy of values in dtype; ValueError unless every entry is finite."""
+def _held(values, dtype, what: str, one_axis: bool = False) -> np.ndarray:
+    """A read-only C-order copy of values in dtype; ValueError unless every entry is finite
+    and, with ``one_axis``, unless values is a scalar or has one axis."""
     out = np.array(values, dtype=dtype, order="C")
     if not np.isfinite(out).all():
         raise ValueError(f"{what} must be finite")
+    if one_axis and out.ndim > 1:
+        raise ValueError(f"{what} must lie on one axis, got shape {out.shape}")
     out.setflags(write=False)
     return out
+
+
+def _not_bool(value, what: str):
+    """value as given; TypeError for a bool, which is no count, length or tolerance."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what} must be a number, not the bool {value!r}")
+    return value
 
 
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -122,8 +132,8 @@ def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _window_length(L) -> float:
-    """L as a float; raises DomainError unless 0 < L < inf."""
-    L = float(L)
+    """L as a float; raises TypeError for a bool and DomainError unless 0 < L < inf."""
+    L = float(_not_bool(L, "window length"))
     if not 0.0 < L < math.inf:
         raise DomainError("interval length must be positive and finite")
     return L
@@ -208,7 +218,7 @@ class SpectralOperator:
     tolerance: Optional[float] = None
 
     def __post_init__(self):
-        lam = _held(self.eigenvalues, np.complex128, "eigenvalues").reshape(-1)
+        lam = _held(self.eigenvalues, np.complex128, "eigenvalues", one_axis=True).reshape(-1)
         if lam.size == 0:
             raise ValueError("operator needs at least one eigenvalue")
         object.__setattr__(self, "eigenvalues", lam)
@@ -234,7 +244,7 @@ class SpectralOperator:
         object.__setattr__(self, "eigenbasis", basis)
 
         tol = default_tolerance() if self.tolerance is None else self.tolerance
-        if not 0 < tol < math.inf:
+        if not 0 < _not_bool(tol, "tolerance") < math.inf:
             raise ValueError("tolerance must be positive and finite")
         object.__setattr__(self, "tolerance", float(tol))
 

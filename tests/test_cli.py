@@ -330,6 +330,32 @@ def test_missing_file_is_an_error(tmp_path, identity_files, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--L", "-1"],
+    ["complete"],
+    ["bessel", "--L", "-1"],
+    ["carleson"],
+    ["discretize", "--L", "1", "--max-points", "1"],
+    ["verify", "--L", "1", "--times", ""],
+    ["lscan", "--Ls", ""],
+    ["reconstruct", "--L", "1", "--noise", "-1"],
+])
+def test_every_file_command_loads_its_inputs_before_it_checks_its_arguments(
+        tmp_path, identity_files, monkeypatch, capsys, command):
+    # each command's own argument is one it rejects, so only the order of
+    # the checks decides which error is printed
+    op, vec = identity_files
+    missing = tmp_path / "nope.json"
+    assert main([command[0], "--op", str(missing), "--vectors", vec, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {missing}: ")
+    monkeypatch.setenv("DYNSAMP_TOL", "inf")
+    assert main([command[0], "--op", op, "--vectors", vec, *command[1:]]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid DYNSAMP_TOL: DYNSAMP_TOL must be positive and finite, got inf\n")
+
+
 def test_missing_required_flag_is_an_argparse_error(identity_files):
     op, vec = identity_files
     with pytest.raises(SystemExit) as exc:

@@ -148,13 +148,13 @@ def test_find_discretization_evaluates_each_grid_time_once(monkeypatch):
 
 def test_find_discretization_max_points_is_an_integer_count():
     # the count goes through operator.index, as grid sizes do: a float is a
-    # TypeError, not a bound, and True is the count 1 in the message
+    # TypeError, not a bound, and so is a bool, not the count 1
     rng = np.random.default_rng(0)
     A = SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8), random_unitary(rng, 8))
     G = random_vectors(rng, 1, 8)
     with pytest.raises(TypeError):
         find_discretization(A, G, 64.0, 0.9, max_points=48.5)
-    with pytest.raises(NoConvergence, match=r"^no uniform grid up to 1 points reached"):
+    with pytest.raises(TypeError, match=r"^max_points must be a number, not the bool True$"):
         find_discretization(A, G, 64.0, 0.9, max_points=True)
     with pytest.raises(NoConvergence, match=r"^no uniform grid up to 48 points reached"):
         find_discretization(A, G, 64.0, 0.9, max_points=np.int64(48))

@@ -30,7 +30,14 @@ from dynframes.gram import (
     quadrature_gram,
     semicont_gram,
 )
-from dynframes.reconstruct import Samples, heat_cycle_operator, reconstruct, sample
+from dynframes.catalog import run_entry
+from dynframes.reconstruct import (
+    SampleRecord,
+    Samples,
+    heat_cycle_operator,
+    reconstruct,
+    sample,
+)
 from dynframes.spectral import (
     SpectralOperator,
     VectorSet,
@@ -531,6 +538,57 @@ def test_a_non_finite_entry_is_reported_before_a_wrong_shape():
         Samples([np.nan], [0.0, 0.5])
     with pytest.raises(ValueError, match="^vectors must be finite$"):
         VectorSet(np.full((2, 2, 2), np.inf))
+
+
+def test_eigenvalues_and_grid_times_lie_on_one_axis():
+    # read flat, an identity matrix would be the spectrum 1, 0, 0, 1
+    with pytest.raises(ValueError, match=r"^eigenvalues must lie on one axis, got shape \(2, 2\)$"):
+        SpectralOperator(np.eye(2))
+    with pytest.raises(ValueError, match=r"^time grid times must lie on one axis, got shape"):
+        TimeGrid([[0.0, 0.5]], 1.0)
+    # a scalar and a one-axis array are read as they were
+    assert SpectralOperator(0.5).eigenvalues.tolist() == [0.5]
+    assert TimeGrid(0.0, 1.0).times.tolist() == [0.0]
+    assert TimeGrid(np.array([0.0, 0.5]), 1.0).times.tolist() == [0.0, 0.5]
+
+
+def _bool_sites():
+    A = heat_cycle_operator(4, 1.0)
+    G = VectorSet(np.eye(4)[:1])
+    return {
+        "TimeGrid.uniform n": lambda b: TimeGrid.uniform(b, 1.0),
+        "TimeGrid L": lambda b: TimeGrid([0.0], b),
+        "quadrature_gram panels": lambda b: quadrature_gram(A, G, 1.0, panels=b),
+        "brute_force_completeness grid_points": lambda b: brute_force_completeness(
+            A, G, 1.0, grid_points=b),
+        "heat_cycle_operator d": lambda b: heat_cycle_operator(b, 1.0),
+        "find_discretization max_points": lambda b: find_discretization(
+            A, G, 1.0, 0.5, max_points=b),
+        "SampleRecord generator_index": lambda b: SampleRecord(b, 0.0, 1.0),
+        "pair_integral L": lambda b: pair_integral(0.5, 0.5, b),
+        "semicont_gram L": lambda b: semicont_gram(A, G, b),
+        "window_scan lengths": lambda b: window_scan(A, G, [b, 2.0]),
+        "SpectralOperator tolerance": lambda b: SpectralOperator([1.0], tolerance=b),
+        "run_entry d": lambda b: run_entry("example-frlrbd", d=b),
+    }
+
+
+@pytest.mark.parametrize("site", list(_bool_sites()))
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy bool"])
+def test_a_bool_is_not_a_count_a_window_length_or_a_tolerance(site, flag):
+    # int(True) == 1 and float(True) == 1.0, but a bool is a flag, not a number
+    with pytest.raises(TypeError, match="bool"):
+        _bool_sites()[site](flag)
+
+
+def test_catalog_truncation_is_an_integer_count():
+    # as the other counts: a float is a TypeError here, not deep inside numpy
+    for entry in ("example-frlrbd", "example-4.4"):
+        for d in (2.5, 16.5, 16.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                run_entry(entry, d=d)
+    ok, _ = run_entry("example-frlrbd", d=np.int64(4))
+    assert ok
 
 
 def test_array_holders_compare_by_identity():

@@ -58,6 +58,9 @@ The corpus runs:
   raise the first failing length's error, and ``verify --L 400 --times
   0``, where one time cannot separate the two modes, so the discrete
   hypothesis fails before the overflowing window Gram is formed;
+- every file command on README's vectors with a missing ``--op`` file, and
+  on README's files with ``DYNSAMP_TOL=inf``, so the error path that loads
+  the inputs is covered for each handler;
 - a few input errors, among them windows that are not positive and finite
   on every route: ``analyze --L inf`` and ``analyze --method quadrature
   --L inf``, ``reconstruct --L inf``, ``lscan --Ls 1,nan`` and
@@ -241,15 +244,18 @@ def corpus() -> list:
         ("verify readme --L nan", ["verify", *readme, "--L", "nan", "--times", "0,0.5"], {}),
         ("analyze readme --out missing directory",
          ["analyze", *readme, "--L", "1", "--out", "missing/out.txt"], {}),
-        ("complete readme DYNSAMP_TOL=inf", ["complete", *readme], {"DYNSAMP_TOL": "inf"}),
         ("complete readme DYNSAMP_TOL=1e-6", ["complete", *readme], {"DYNSAMP_TOL": "1e-6"}),
         ("complete overflow", ["complete", "--op", "overflow.json",
                                "--vectors", "overflow-vectors.json"], {}),
-        ("complete missing op file", ["complete", "--op", "missing.json",
-                                      "--vectors", "readme-vectors.json"], {}),
         ("complete short object op file", ["complete", "--op", "short-object-op.json",
                                            "--vectors", "readme-vectors.json"], {}),
     ]
+    # every file command reads DYNSAMP_TOL and its files before its own arguments
+    for command in COMMANDS:
+        runs.append((f"{command[0]} missing op file",
+                     [*command, "--op", "missing.json", "--vectors", "readme-vectors.json"], {}))
+        runs.append((f"{command[0]} readme DYNSAMP_TOL=inf", [*command, *readme],
+                     {"DYNSAMP_TOL": "inf"}))
     for what, op, vectors in (
         ("dimension true op", "dimension-true-op.json", "one-vectors.json"),
         ("dimension true vectors", "one-op.json", "dimension-true-vectors.json"),
