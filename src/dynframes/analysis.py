@@ -26,6 +26,7 @@ from .gram import Gram, _check_hermitian
 from .spectral import (
     SpectralOperator,
     VectorSet,
+    _held,
     _not_bool,
     _window_integral,
     _window_length,
@@ -267,30 +268,37 @@ def carleson_check(lambdas: Sequence[complex], P_norms: Sequence[float]) -> Carl
     of pseudohyperbolic separation products, and two-sided bounds on
     ||P_j g|| / sqrt(1 - |lambda_j|^2).
 
-    Raises DomainError when any eigenvalue sits on (or numerically on) the
-    unit circle, where the scaling is meaningless.
+    Raises ValueError when either input holds NaN or inf or has more than
+    one axis, and DomainError when any eigenvalue sits on (or numerically
+    on) the unit circle, where the scaling is meaningless, or has a modulus
+    beyond the float range.
     """
-    lam = np.asarray(lambdas, dtype=np.complex128).reshape(-1)
+    lam = _held(lambdas, np.complex128, "eigenvalues", one_axis=True).reshape(-1)
+    norms = _held(P_norms, np.float64, "projection norms", one_axis=True).reshape(-1)
     if lam.size == 0:
         raise ValueError("need at least one eigenvalue")
     mods = np.abs(lam)
+    if not np.isfinite(mods).all():
+        raise DomainError("eigenvalue modulus overflows")
     if np.any(np.abs(mods - 1.0) <= 1e-14):
         raise DomainError("eigenvalue modulus is numerically 1")
 
     inside = mods < 1.0
     cond_ii = "pass" if bool(inside.all()) else "fail"
 
-    diff = np.abs(lam[:, None] - lam[None, :])
-    blaschke = np.abs(1.0 - np.conj(lam)[:, None] * lam[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # inf / inf (finite eigenvalues whose products overflow) and 0 * inf (a
+    # repeated eigenvalue beside its reflection 1 / conj(lambda)) read as 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        diff = np.abs(lam[:, None] - lam[None, :])
+        blaschke = np.abs(1.0 - np.conj(lam)[:, None] * lam[None, :])
         ratio = diff / blaschke
-    ratio = np.where(np.isnan(ratio), 0.0, ratio)
-    np.fill_diagonal(ratio, 1.0)
-    per = np.prod(ratio, axis=1)
+        ratio = np.where(np.isnan(ratio), 0.0, ratio)
+        np.fill_diagonal(ratio, 1.0)
+        per = np.prod(ratio, axis=1)
+    per[np.isnan(per)] = 0.0
     inf_product = float(per.min())
     cond_iv = "pass" if inf_product > 0.0 else "fail"
 
-    norms = np.asarray(P_norms, dtype=np.float64).reshape(-1)
     if norms.size != lam.size:
         raise DimensionMismatch("one projection norm per eigenvalue is required")
 

@@ -11,9 +11,9 @@ The search doubles n from 2, and its grids are nested: L / n is an exact
 scaling of L, so grid 2n is grid n, bit for bit, plus n midpoints. It keeps
 the power rows of the current grid and evaluates the powers at the new
 midpoints only, so a search that accepts n points evaluates n rows in all.
-One power sum Q per doubling gives both the weighted Gram (every left-rule
-weight is L / n) and the accepted grid's plain Gram, which is the array
-``discrete_gram`` builds on that grid.
+Each doubling forms one Gram, the plain one that ``discrete_gram`` builds
+on that grid; every left-rule weight is L / n, so the Riemann-weighted
+lower bound is L / n times its lower bound.
 
 ``window_scan`` forms a scan in one pass: the eigen-coordinates and
 W = ghat^T conj(ghat) once, the pair integrals of all k lengths as one
@@ -107,6 +107,7 @@ def find_discretization(
     NotAFrame when the continuous system itself has no lower bound, and
     NoConvergence when the doubling passes max_points.
     """
+    L = _window_length(L)
     target_ratio = float(target_ratio)
     if not 0.0 < target_ratio < 1.0:
         raise ValueError("target_ratio must lie strictly between 0 and 1")
@@ -127,17 +128,14 @@ def find_discretization(
             M = _power_profile(A, [0.0])  # the t = 0 row of every grid
         while n <= max_points:
             # (2j) (L / n) == j (L / (n / 2)) exactly, so only the odd rows are new
-            h = float(L) / n
+            h = L / n
             grown = np.empty((n, M.shape[1]), dtype=M.dtype)
             grown[0::2] = M
             grown[1::2] = _power_profile(A, np.arange(1, n, 2) * h)
             M = grown
-            Q = M.T @ M.conj()
-            # every left-rule weight of a uniform grid is h
-            weighted = frame_bounds(Gram(W * (h * Q), "discrete", A.eigenbasis))
-            last = weighted.lower
-            if weighted.lower >= target:
-                plain = frame_bounds(Gram(W * Q, "discrete", A.eigenbasis))
+            plain = frame_bounds(Gram(W * (M.T @ M.conj()), "discrete", A.eigenbasis))
+            last = h * plain.lower  # every left-rule weight of a uniform grid is h
+            if last >= target:
                 iterations = n.bit_length() - 1  # n = 2^iterations
                 return DiscretizationResult(TimeGrid.uniform(n, L), plain, h, iterations)
             n *= 2

@@ -159,8 +159,8 @@ class Gram:
 
 def semicont_gram(A: SpectralOperator, G: VectorSet, L: float) -> Gram:
     """Closed-form Gram of the orbit family over [0, L]; DomainError if it overflows."""
-    ghat = A.to_eigenbasis(G.vectors)
     P = pair_integral_matrix(A, L)
+    ghat = A.to_eigenbasis(G.vectors)
     with np.errstate(over="ignore", invalid="ignore"):  # the Gram checks it
         # np.conj copies a real ghat; ghat.T @ ghat would round as numpy's syrk
         shat = (ghat.T @ np.conj(ghat)) * P
@@ -195,8 +195,8 @@ def bessel_sum(A: SpectralOperator, G: VectorSet, L: float, f: np.ndarray) -> fl
     The quadratic form of ``semicont_gram``'s ``hat`` at the eigen-coordinates
     of f. Raises DomainError when the sum overflows.
     """
-    fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
     shat = semicont_gram(A, G, L).hat
+    fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.vdot(fh, shat @ fh).real)
     if not math.isfinite(total):

@@ -80,7 +80,7 @@ class Samples(Sequence):
     @classmethod
     def from_records(cls, records: Sequence, generators: int) -> "Samples":
         """The records of ``generators`` generators, one per generator/time pair, in any order."""
-        m, count = generators, len(records)
+        m, count = operator.index(_not_bool(generators, "generators")), len(records)
         if not count:
             raise ValueError("no samples given")
 
@@ -255,7 +255,7 @@ def heat_cycle_operator(d: int, diffusion: float) -> SpectralOperator:
     d = operator.index(_not_bool(d, "d"))
     if d < 2:
         raise ValueError("the cycle needs at least 2 vertices")
-    diffusion = float(diffusion)
+    diffusion = float(_not_bool(diffusion, "diffusion"))
     if not 0.0 < diffusion < math.inf:
         raise ValueError("diffusion must be positive and finite")
     k = np.arange(d)

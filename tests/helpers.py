@@ -324,8 +324,9 @@ def find_discretization_reference(A, G, L, target_ratio, max_points=1 << 20, pat
 
     Each doubling builds ``TimeGrid.uniform(n, L)`` and its Riemann-weighted
     ``discrete_gram``, and the accepted grid's plain Gram is built once more
-    for the report, as ``find_discretization`` does on nested grids. When
-    ``path`` is a list, each doubling appends (weighted lower bound, target).
+    for the report; ``find_discretization`` forms only that plain Gram on
+    each nested grid and scales its lower bound by L / n. When ``path`` is a
+    list, each doubling appends (weighted lower bound, target).
     """
     target_ratio = float(target_ratio)
     if not 0.0 < target_ratio < 1.0:

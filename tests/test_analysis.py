@@ -889,6 +889,36 @@ def test_carleson_failures_and_domain():
     assert none_inside.verdict == "not_frameable"
 
 
+@pytest.mark.parametrize("lam, norms, what", [
+    ([0.5, np.nan], [1.0, 1.0], "eigenvalues must be finite"),
+    ([0.5, np.inf], [1.0, 1.0], "eigenvalues must be finite"),
+    ([0.5, 0.2], [np.inf, 1.0], "projection norms must be finite"),
+    ([0.5, 0.2], [np.nan, 1.0], "projection norms must be finite"),
+    ([[0.5, 0.2]], [1.0, 1.0], r"eigenvalues must lie on one axis, got shape \(1, 2\)"),
+    ([0.5, 0.2], [[1.0, 1.0]], r"projection norms must lie on one axis, got shape \(1, 2\)"),
+])
+def test_carleson_rejects_non_finite_or_stacked_input(lam, norms, what):
+    # NaN or inf is no diagnostic: read as it is, [0.5, nan] was
+    # not_frameable and norms [inf, 1] consistent with C_v = inf
+    with pytest.raises(ValueError, match=f"^{what}$"):
+        carleson_check(lam, norms)
+
+
+def test_carleson_overflow_and_reflections_give_a_verdict_without_warnings():
+    # finite eigenvalues whose differences and products overflow (inf / inf)
+    both = carleson_check([1e308, -1e308], [1.0, 1.0])
+    assert both.per_index_products == (0.0, 0.0)
+    assert both.verdict == "not_frameable"
+    # 2 = 1 / conj(0.5), so a repeated 0.5 meets 0 * inf in its row
+    reflected = carleson_check([0.5, 0.5, 2.0], [1.0, 1.0, 1.0])
+    assert reflected.per_index_products == (0.0, 0.0, math.inf)
+    assert reflected.inf_product == 0.0
+    assert reflected.verdict == "not_frameable"
+    # a modulus beyond the float range is no point of the plane to compare
+    with pytest.raises(DomainError, match="^eigenvalue modulus overflows$"):
+        carleson_check([0.5, 1.5e308 + 1.5e308j], [1.0, 1.0])
+
+
 def test_carleson_all_factors_inside_disk_are_contractive():
     rng = np.random.default_rng(73)
     mods = rng.uniform(0.05, 0.95, 8)

@@ -146,6 +146,35 @@ def test_find_discretization_evaluates_each_grid_time_once(monkeypatch):
     assert rows == []
 
 
+def test_find_discretization_forms_one_gram_per_grid(monkeypatch):
+    # the window Gram, then one plain Gram per doubling: the weighted bound is
+    # L / n times its lower bound, and the accepted grid reports it as it is
+    grams, bounds = [], []
+
+    def counting_gram(hat, method, eigenbasis=None):
+        grams.append(method)
+        return dynframes.gram.Gram(hat, method, eigenbasis)
+
+    def counting_bounds(S):
+        bounds.append(S.method)
+        return frame_bounds(S)
+
+    monkeypatch.setattr(dynframes.discretize, "Gram", counting_gram)
+    monkeypatch.setattr(dynframes.discretize, "frame_bounds", counting_bounds)
+    rng = np.random.default_rng(0)
+    A = SpectralOperator(np.exp(2j * np.pi * np.arange(8) / 8), random_unitary(rng, 8))
+    G = random_vectors(rng, 1, 8)
+    for L in (64.0, 48.0):  # h = 48 / n is no power of two
+        grams.clear()
+        bounds.clear()
+        k = find_discretization(A, G, L, 0.9).iterations
+        assert grams == bounds == ["closed_form"] + ["discrete"] * k
+    grams.clear()
+    with pytest.raises(NoConvergence):
+        find_discretization(A, G, 64.0, 0.9, max_points=48)  # n = 2, 4, ..., 32
+    assert grams == ["closed_form"] + ["discrete"] * 5
+
+
 def test_find_discretization_max_points_is_an_integer_count():
     # the count goes through operator.index, as grid sizes do: a float is a
     # TypeError, not a bound, and so is a bool, not the count 1

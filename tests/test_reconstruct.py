@@ -500,6 +500,16 @@ def test_samples_from_no_records_is_a_named_error():
                 Samples.from_records(records, generators)
 
 
+def test_samples_from_records_reads_the_generator_count_first():
+    # a count that is no integer is a TypeError before any record is read,
+    # as for the other counts; a record without fields would fail otherwise
+    for generators in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            Samples.from_records([object()], generators)
+    records = [SampleRecord(1, 0.0, 1.0), SampleRecord(2, 0.0, 2.0)]
+    assert Samples.from_records(records, np.int64(2)).values.tolist() == [[1.0], [2.0]]
+
+
 def test_reconstruct_ignores_record_order():
     rng = np.random.default_rng(127)
     A = random_normal_operator(rng, 5)

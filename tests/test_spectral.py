@@ -412,6 +412,18 @@ def test_every_window_entry_point_rejects_a_bad_length(entry, L):
         _WINDOW_ENTRY_POINTS[entry](A, G, S, L)
 
 
+@pytest.mark.parametrize("entry", list(_WINDOW_ENTRY_POINTS))
+def test_every_window_entry_point_checks_the_window_before_the_generators(entry):
+    # finite generators whose eigen-coordinates overflow (1.5e308 * 1.4) meet
+    # an infinite window: each route names the window, not the coordinates
+    A = SpectralOperator(np.array([1.0, 0.5]), np.array([[0.8, 0.6], [-0.6, 0.8]]))
+    G = VectorSet([[1.5e308, 1.5e308]])
+    S = sample(A, VectorSet([[1.0, 0.0]]), np.array([1.0, -1.0]),
+               TimeGrid(np.array([0.0, 0.5]), 1.0))
+    with pytest.raises(DomainError, match="^interval length must be positive and finite$"):
+        _WINDOW_ENTRY_POINTS[entry](A, G, S, math.inf)
+
+
 # ---------------------------------------------------------------------------
 # operators and powers
 
@@ -562,6 +574,9 @@ def _bool_sites():
         "brute_force_completeness grid_points": lambda b: brute_force_completeness(
             A, G, 1.0, grid_points=b),
         "heat_cycle_operator d": lambda b: heat_cycle_operator(b, 1.0),
+        "heat_cycle_operator diffusion": lambda b: heat_cycle_operator(4, b),
+        "Samples.from_records generators": lambda b: Samples.from_records(
+            [SampleRecord(1, 0.0, 1.0)], b),
         "find_discretization max_points": lambda b: find_discretization(
             A, G, 1.0, 0.5, max_points=b),
         "SampleRecord generator_index": lambda b: SampleRecord(b, 0.0, 1.0),

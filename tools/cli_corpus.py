@@ -35,7 +35,10 @@ The corpus runs:
 - deep grid searches: ``discretize`` on 8 unit-circle rotations in a random
   basis with one random generator, L = 64, at ``--target-ratio`` 0.9 and
   0.99 in each format (6 doublings), once with ``--max-points 48``,
-  which ends in ``NoConvergence``, and once with ``--max-points 1``;
+  which ends in ``NoConvergence``, and once with ``--max-points 1``; and
+  the same searches at L = 48 in each format, at both ratios, with the
+  default budget and with ``--max-points 48``, where the step 48 / n is no
+  power of two;
 - ``complete`` on files that state ``"dimension"`` as something other
   than a JSON integer: an operator and a vectors file with ``true`` (on
   one-dimensional data, so ``true`` reads as 1) and with ``2.0``, and an
@@ -210,8 +213,8 @@ def corpus() -> list:
                 runs.append((f"{command[0]} {system} {fmt}", argv, {}))
     readme = ["--op", "readme-op.json", "--vectors", "readme-vectors.json"]
     diag3 = ["--op", "diag3-op.json", "--vectors", "ones-vectors.json"]
-    rotations = ["discretize", "--op", "rot8.json", "--vectors", "rot8-vectors.json",
-                 "--L", "64"]
+    rot8 = ["discretize", "--op", "rot8.json", "--vectors", "rot8-vectors.json"]
+    rotations = [*rot8, "--L", "64"]
     quadrature = ["analyze", *readme, "--L", "1", "--method", "quadrature", "--panels", "64"]
     for fmt in FORMATS:
         runs.append((f"analyze readme quadrature {fmt}", [*quadrature, "--format", fmt], {}))
@@ -225,6 +228,12 @@ def corpus() -> list:
         for ratio in ("0.9", "0.99"):
             argv = [*rotations, "--target-ratio", ratio, "--format", fmt]
             runs.append((f"discretize rot8 --target-ratio {ratio} {fmt}", argv, {}))
+            # h = 48 / n is no power of two, so h times a lower bound can round
+            # apart from the lower bound of h times the Gram
+            for budget in ((), ("--max-points", "48")):
+                argv = [*rot8, "--L", "48", "--target-ratio", ratio, *budget, "--format", fmt]
+                name = " ".join(["discretize rot8 --L 48 --target-ratio", ratio, *budget, fmt])
+                runs.append((name, argv, {}))
         argv = ["complete", "--op", "groups.json", "--vectors", "groups-vectors.json",
                 "--format", fmt]
         runs.append((f"complete groups {fmt}", argv, {}))
