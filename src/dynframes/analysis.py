@@ -269,12 +269,17 @@ def carleson_check(lambdas: Sequence[complex], P_norms: Sequence[float]) -> Carl
     ||P_j g|| / sqrt(1 - |lambda_j|^2).
 
     Raises ValueError when either input holds NaN or inf or has more than
-    one axis, and DomainError when any eigenvalue sits on (or numerically
-    on) the unit circle, where the scaling is meaningless, or has a modulus
-    beyond the float range.
+    one axis, or a norm is negative, DimensionMismatch unless there is one
+    norm per eigenvalue, and DomainError when any eigenvalue sits on (or
+    numerically on) the unit circle, where the scaling is meaningless, or
+    has a modulus beyond the float range.
     """
     lam = _held(lambdas, np.complex128, "eigenvalues", one_axis=True).reshape(-1)
     norms = _held(P_norms, np.float64, "projection norms", one_axis=True).reshape(-1)
+    if norms.size != lam.size:
+        raise DimensionMismatch("one projection norm per eigenvalue is required")
+    if (norms < 0.0).any():
+        raise ValueError("projection norms must be nonnegative")
     if lam.size == 0:
         raise ValueError("need at least one eigenvalue")
     mods = np.abs(lam)
@@ -298,9 +303,6 @@ def carleson_check(lambdas: Sequence[complex], P_norms: Sequence[float]) -> Carl
     per[np.isnan(per)] = 0.0
     inf_product = float(per.min())
     cond_iv = "pass" if inf_product > 0.0 else "fail"
-
-    if norms.size != lam.size:
-        raise DimensionMismatch("one projection norm per eigenvalue is required")
 
     if inside.any():
         scaled = norms[inside] / np.sqrt(1.0 - mods[inside] ** 2)

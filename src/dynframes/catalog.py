@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import FRAME, completeness_check, frame_bounds
 from .discretize import find_discretization, verify_discrete_implies_semicont
 from .gram import TimeGrid, bessel_sum, discrete_gram, semicont_gram
-from .spectral import SpectralOperator, VectorSet, _not_bool
+from .spectral import SpectralOperator, VectorSet, _not_bool, _window_length
 
 __all__ = [
     "CatalogEntry",
@@ -100,7 +100,7 @@ def _reciprocal_decay_entry(k: int, L: float) -> float:
 
 
 def _run_frlrbd(d: int, L: Optional[float]):
-    L = 1.0 if L is None else float(L)
+    L = 1.0 if L is None else L
     ok = True
     lines = []
     for eps in (0.9, 0.5, 0.25, 0.1, 0.01):
@@ -136,7 +136,7 @@ def _run_frlrbd(d: int, L: Optional[float]):
 
 
 def _run_4_4(d: int, L: Optional[float]):
-    L = 1.0 if L is None else float(L)
+    L = 1.0 if L is None else L
     A, G, f = gaussian_decay_system(d)
     measured = bessel_sum(A, G, L, f)
     # modes whose eigenvalue e^{-n^2} underflows to zero carry no energy in
@@ -171,7 +171,7 @@ def _run_4_4(d: int, L: Optional[float]):
 
 
 def _run_5_2(d: int, L: Optional[float]):
-    L = 1.0 if L is None else float(L)
+    L = 1.0 if L is None else L
     A, G = decaying_reciprocal_system(d)
     result = find_discretization(A, G, L, target_ratio=0.9)
     lines = [
@@ -195,7 +195,7 @@ def _run_5_2(d: int, L: Optional[float]):
 
 
 def _run_5_3(d: int, L: Optional[float]):
-    L = 1.0 if L is None else float(L)
+    L = 1.0 if L is None else L
     A, G = decaying_reciprocal_system(d)
     S = semicont_gram(A, G, L).matrix
     lines = [f"diagonal Gram entries at d={d}, L={L:g} against the closed form:"]
@@ -215,7 +215,7 @@ def _run_5_3(d: int, L: Optional[float]):
 
 
 def _run_5_4(d: int, L: Optional[float]):
-    L = 1.0 if L is None else float(L)
+    L = 1.0 if L is None else L
     A, G = two_level_overlap_system(d)
     rep = frame_bounds(semicont_gram(A, G, L))
     cap = 16.0 / math.log(3.0)
@@ -234,7 +234,7 @@ def _run_5_4(d: int, L: Optional[float]):
 
 
 def _run_5_5(d: int, L: Optional[float]):
-    L = 2.0 if L is None else float(L)
+    L = 2.0 if L is None else L
     A, G = shifted_pair_system(d)
     zero_only = frame_bounds(discrete_gram(A, G, TimeGrid(np.array([0.0]), L)))
     lines = [
@@ -311,6 +311,7 @@ def run_entry(name: str, d: int = 64, L: Optional[float] = None):
     d = operator.index(_not_bool(d, "d"))
     if d < 2:
         raise ValueError(f"catalog entries need d >= 2, got d={d}")
+    L = None if L is None else _window_length(L)
     for entry in _ENTRIES:
         if entry.name == name:
             return entry.runner(d=d, L=L)

@@ -16,8 +16,9 @@ Exit codes: 0 when the requested analysis computed a positive answer, 2 when
 it computed a negative classification (not a frame, incomplete, not
 frameable), 1 for genuine errors (unreadable input, domain violations,
 searches that run out of budget). The environment variable DYNSAMP_TOL
-overrides both the eigenvalue grouping tolerance and the relative rank
-cutoff.
+overrides the relative rank cutoff, and the eigenvalue grouping tolerance
+of an operator file that states none; a file that ``save_operator`` wrote
+states its own.
 """
 
 from __future__ import annotations
@@ -285,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynframes",
         description="Frame analysis for continuous-power orbits of normal operators.",
-        epilog="DYNSAMP_TOL overrides the grouping and rank tolerances globally.",
+        epilog="DYNSAMP_TOL overrides the rank cutoff, and the grouping tolerance of an "
+               "operator file that states none (files from save_operator state theirs).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DynFramesError",
+    "DomainError",
+    "DimensionMismatch",
+    "NonHermitian",
+    "NotAFrame",
+    "NotInvertible",
+    "DiscreteNotFrame",
+    "NoConvergence",
+]
+
 
 class DynFramesError(Exception):
     """Base class for all package errors."""

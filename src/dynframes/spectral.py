@@ -186,10 +186,12 @@ def pair_integral(lam: complex, mu: complex, L: float) -> complex:
     The exponent is built from the two principal-branch arguments
     separately: alpha = ln|lam mu| + i (arg lam - arg mu). That choice is
     what makes the formula continuous on and off the branch cut (e.g.
-    lam = mu = -1 gives alpha = 0 and the integral equals L).
+    lam = mu = -1 gives alpha = 0 and the integral equals L). Raises
+    ValueError when lam or mu is NaN or inf.
     """
-    alpha = _principal_log(lam) + np.conj(_principal_log(mu))
-    return complex(_window_integral(alpha, _window_length(L)))
+    L = _window_length(L)
+    lam, mu = _held(lam, np.complex128, "lam"), _held(mu, np.complex128, "mu")
+    return complex(_window_integral(_principal_log(lam) + np.conj(_principal_log(mu)), L))
 
 
 def pair_integral_matrix(A: SpectralOperator, L: float) -> np.ndarray:
@@ -507,9 +509,11 @@ def _join(root: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def apply_power_batch(A: SpectralOperator, times: Sequence[float], f: np.ndarray) -> np.ndarray:
     """Stack of A^t f for each t in times; row i is A^{times[i]} f.
 
-    Powers are principal, with 0^0 = 1. Raises DomainError for 0^t with
-    t < 0 and when a power overflows.
+    Powers are principal, with 0^0 = 1. Raises ValueError unless the times
+    are finite and lie on one axis, and DomainError for 0^t with t < 0 and
+    when a power overflows.
     """
+    times = _held(times, np.float64, "times", one_axis=True)
     fh = A.to_eigenbasis(np.asarray(f, dtype=np.complex128).reshape(-1))
     return A.from_eigenbasis(_power_profile(A, times) * fh)
 

@@ -904,6 +904,16 @@ def test_carleson_rejects_non_finite_or_stacked_input(lam, norms, what):
         carleson_check(lam, norms)
 
 
+def test_carleson_reads_one_nonnegative_norm_per_eigenvalue_first():
+    # the count comes before the modulus checks and the O(d^2) products
+    with pytest.raises(DimensionMismatch, match="^one projection norm per eigenvalue is required$"):
+        carleson_check([1.0], [])
+    # a norm is no signed number: read as given, [-1, 1] gave c_v = -1.15
+    with pytest.raises(ValueError, match="^projection norms must be nonnegative$"):
+        carleson_check([0.5, 0.2], [-1.0, 1.0])
+    assert carleson_check([0.5, 0.2], [-0.0, 1.0]).c_v == 0.0
+
+
 def test_carleson_overflow_and_reflections_give_a_verdict_without_warnings():
     # finite eigenvalues whose differences and products overflow (inf / inf)
     both = carleson_check([1e308, -1e308], [1.0, 1.0])

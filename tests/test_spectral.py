@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from dynframes.gram import (
     quadrature_gram,
     semicont_gram,
 )
-from dynframes.catalog import run_entry
+from dynframes.catalog import repro_catalog, run_entry
 from dynframes.reconstruct import (
     SampleRecord,
     Samples,
@@ -466,6 +467,21 @@ def test_apply_power_batch_matches_singles():
         np.testing.assert_allclose(batch[i], apply_power_batch(A, [t], f)[0], atol=1e-13)
 
 
+def test_power_entries_reject_non_finite_input():
+    # NaN or inf is a bad input, not an overflowed power
+    A = SpectralOperator(np.array([1.0, 0.5]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^times must be finite$"):
+            apply_power_batch(A, [0.0, bad], np.ones(2))
+        with pytest.raises(ValueError, match="^lam must be finite$"):
+            pair_integral(bad, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            pair_integral(0.5, complex(0.5, bad), 1.0)
+    with pytest.raises(ValueError, match=r"^times must lie on one axis, got shape \(1, 2\)$"):
+        apply_power_batch(A, [[0.0, 1.0]], np.ones(2))
+    assert apply_power_batch(A, 1.0, np.ones(2)).tolist() == [[1.0, 0.5]]
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         SpectralOperator(np.array([]))
@@ -585,6 +601,8 @@ def _bool_sites():
         "window_scan lengths": lambda b: window_scan(A, G, [b, 2.0]),
         "SpectralOperator tolerance": lambda b: SpectralOperator([1.0], tolerance=b),
         "run_entry d": lambda b: run_entry("example-frlrbd", d=b),
+        **{f"run_entry {entry.name} L": functools.partial(run_entry, entry.name, 8)
+           for entry in repro_catalog()},
     }
 
 

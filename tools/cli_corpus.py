@@ -67,7 +67,10 @@ The corpus runs:
 - a few input errors, among them windows that are not positive and finite
   on every route: ``analyze --L inf`` and ``analyze --method quadrature
   --L inf``, ``reconstruct --L inf``, ``lscan --Ls 1,nan`` and
-  ``verify --L nan``.
+  ``verify --L nan``;
+- ``--help``, once at the top level and once per subcommand, with
+  ``COLUMNS=80``, so that argparse wraps the text the same way on every
+  host.
 
 Each run records its exit code, standard output and standard error, and the
 file that ``--out`` wrote.
@@ -290,6 +293,8 @@ def corpus() -> list:
         ("lscan diag3 --Ls 1,10,400", ["lscan", *diag3, "--Ls", "1,10,400"], {}),
         ("verify diag3 --L 400 --times 0", ["verify", *diag3, "--L", "400", "--times", "0"], {}),
     ]
+    for command in ([], *([c[0]] for c in COMMANDS), ["repro"]):
+        runs.append((" ".join([*command, "--help"]), [*command, "--help"], {"COLUMNS": "80"}))
     return runs
 
 
