@@ -40,15 +40,25 @@ class CatalogEntry:
     runner: Callable
 
 
+def _dimension(d, least: int) -> int:
+    """d as an int; TypeError for a bool or a non-integer, ValueError below least."""
+    d = operator.index(_not_bool(d, "d"))
+    if d < least:
+        raise ValueError(f"d must be at least {least}, got {d}")
+    return d
+
+
 def gap_pair_system(eps: float):
     """2x2 diagonal operator diag(1, 1-eps) with the single generator (1, 1)."""
+    eps = float(_not_bool(eps, "eps"))
     A = SpectralOperator(np.array([1.0, 1.0 - eps], dtype=complex))
     G = VectorSet(np.array([[1.0, 1.0]], dtype=complex))
     return A, G
 
 
 def decaying_reciprocal_system(d: int):
-    """diag(1/j) with the standard basis as generators."""
+    """diag(1/j) with the standard basis as generators, d >= 1."""
+    d = _dimension(d, 1)
     j = np.arange(1, d + 1)
     A = SpectralOperator((1.0 / j).astype(complex))
     G = VectorSet(np.eye(d, dtype=complex))
@@ -56,7 +66,8 @@ def decaying_reciprocal_system(d: int):
 
 
 def two_level_overlap_system(d: int):
-    """Alternating diag(1, 3, 1, 3, ...) with overlapping pairs e_n + e_{n+1}."""
+    """Alternating diag(1, 3, 1, 3, ...) with overlapping pairs e_n + e_{n+1}, d >= 2."""
+    d = _dimension(d, 2)
     lam = np.where(np.arange(1, d + 1) % 2 == 1, 1.0, 3.0)
     A = SpectralOperator(lam.astype(complex))
     vecs = np.zeros((d - 1, d), dtype=complex)
@@ -67,11 +78,12 @@ def two_level_overlap_system(d: int):
 
 
 def shifted_pair_system(d: int):
-    """diag(9, 1-1/2, ..., 1-1/d) with generators e_n + 2 e_{n+1}.
+    """diag(9, 1-1/2, ..., 1-1/d) with generators e_n + 2 e_{n+1}, d >= 2.
 
     The generators alone miss the alternating vector sum_k (-2)^{-k} e_k,
     so a second sample time is what makes this system a frame.
     """
+    d = _dimension(d, 2)
     lam = np.array([9.0] + [1.0 - 1.0 / n for n in range(2, d + 1)], dtype=complex)
     A = SpectralOperator(lam)
     vecs = np.zeros((d - 1, d), dtype=complex)
@@ -82,7 +94,8 @@ def shifted_pair_system(d: int):
 
 
 def gaussian_decay_system(d: int):
-    """diag(e^{-n^2}) with generators n e_n and the probe state sum (1/n) e_n."""
+    """diag(e^{-n^2}) with generators n e_n and the probe state sum (1/n) e_n, d >= 1."""
+    d = _dimension(d, 1)
     n = np.arange(1, d + 1)
     A = SpectralOperator(np.exp(-(n.astype(float) ** 2)).astype(complex))
     G = VectorSet(np.diag(n.astype(complex)))

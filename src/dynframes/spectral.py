@@ -187,10 +187,13 @@ def pair_integral(lam: complex, mu: complex, L: float) -> complex:
     separately: alpha = ln|lam mu| + i (arg lam - arg mu). That choice is
     what makes the formula continuous on and off the branch cut (e.g.
     lam = mu = -1 gives alpha = 0 and the integral equals L). Raises
-    ValueError when lam or mu is NaN or inf.
+    ValueError when lam or mu is NaN, inf or not a scalar.
     """
     L = _window_length(L)
     lam, mu = _held(lam, np.complex128, "lam"), _held(mu, np.complex128, "mu")
+    for what, value in (("lam", lam), ("mu", mu)):
+        if value.ndim:
+            raise ValueError(f"{what} must be a scalar, got shape {value.shape}")
     return complex(_window_integral(_principal_log(lam) + np.conj(_principal_log(mu)), L))
 
 
@@ -233,11 +236,15 @@ class SpectralOperator:
                 raise DimensionMismatch(
                     f"eigenbasis shape {basis.shape} does not match dimension {d}"
                 )
-            # conj returns a real basis as it is, so its product stays real
+            # conj returns a real basis as it is, so its product stays real and
+            # the Gram is the one d x d array a real basis needs: its abs is
+            # taken in place, and it is freed before the stored copy is made
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite or huge basis
                 gram = basis.conj().T @ basis
             gram.flat[:: d + 1] -= 1.0
-            if not np.max(np.abs(gram)) <= _ORTHONORMAL_TOL:  # NaN fails too
+            error = np.max(np.abs(gram, out=gram if np.isrealobj(gram) else None))
+            del gram
+            if not error <= _ORTHONORMAL_TOL:  # NaN fails too
                 if not np.isfinite(basis).all():
                     raise ValueError("eigenbasis must be finite")
                 raise ValueError("eigenbasis columns are not orthonormal")

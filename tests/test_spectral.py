@@ -31,7 +31,15 @@ from dynframes.gram import (
     quadrature_gram,
     semicont_gram,
 )
-from dynframes.catalog import repro_catalog, run_entry
+from dynframes.catalog import (
+    decaying_reciprocal_system,
+    gap_pair_system,
+    gaussian_decay_system,
+    repro_catalog,
+    run_entry,
+    shifted_pair_system,
+    two_level_overlap_system,
+)
 from dynframes.reconstruct import (
     SampleRecord,
     Samples,
@@ -479,6 +487,15 @@ def test_power_entries_reject_non_finite_input():
             pair_integral(0.5, complex(0.5, bad), 1.0)
     with pytest.raises(ValueError, match=r"^times must lie on one axis, got shape \(1, 2\)$"):
         apply_power_batch(A, [[0.0, 1.0]], np.ones(2))
+    # the scalar entry point takes one eigenvalue per side; a list of them is named,
+    # not left to numpy's conversion of the result
+    with pytest.raises(ValueError, match=r"^lam must be a scalar, got shape \(2,\)$"):
+        pair_integral([0.5, 0.2], 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^lam must be a scalar, got shape \(1,\)$"):
+        pair_integral([0.5], 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^mu must be a scalar, got shape \(1, 1\)$"):
+        pair_integral(0.5, [[1.0]], 1.0)
+    assert pair_integral(np.float64(1.0), np.array(1.0), 2.5) == 2.5
     assert apply_power_batch(A, 1.0, np.ones(2)).tolist() == [[1.0, 0.5]]
 
 
@@ -512,21 +529,34 @@ def test_operator_validation():
             SpectralOperator(np.ones(2), np.array([[1e200, 0.0], [0.0, 1.0]], dtype=dtype))
 
 
-def test_real_basis_check_keeps_one_gram():
-    # the orthonormality check holds one d x d product beside the stored copy
-    # of the basis, and its difference from the identity is made in place
-    rng = np.random.default_rng(53)
-    d = 1024
-    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
-    lam = np.arange(d, dtype=float)
+def _basis_build_peak(Q):
+    """tracemalloc peak of building an operator on the basis Q, above Q itself."""
+    lam = np.arange(len(Q), dtype=float)
     tracemalloc.start()
     try:
         A = SpectralOperator(lam, Q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert A.eigenbasis.dtype == np.float64
-    assert peak < 2.5 * Q.nbytes
+    assert A.eigenbasis.dtype == Q.dtype
+    return peak
+
+
+def test_real_basis_check_keeps_one_gram():
+    # the orthonormality check's Gram, its difference from the identity and
+    # its abs share one d x d array, freed before the stored copy is made
+    rng = np.random.default_rng(53)
+    Q = np.linalg.qr(rng.normal(size=(1024, 1024)))[0]
+    assert _basis_build_peak(Q) < 1.5 * Q.nbytes
+
+
+def test_complex_basis_check_keeps_two_arrays():
+    # numpy's conj copy and the Gram are alive together in the product; the
+    # Gram's float64 abs is half a basis, and the stored copy comes after both
+    rng = np.random.default_rng(54)
+    d = 512
+    Q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    assert _basis_build_peak(Q) < 2.5 * Q.nbytes
 
 
 # each held input array: (build a holder from it, read it back, a valid input, its message)
@@ -622,6 +652,28 @@ def test_catalog_truncation_is_an_integer_count():
                 run_entry(entry, d=d)
     ok, _ = run_entry("example-frlrbd", d=np.int64(4))
     assert ok
+
+
+def test_catalog_systems_check_their_counts():
+    # each system reads its count as the package's other counts do: a bool
+    # or a float is a TypeError, and a count below its minimum names d
+    counted = {decaying_reciprocal_system: 1, gaussian_decay_system: 1,
+               two_level_overlap_system: 2, shifted_pair_system: 2}
+    for build, least in counted.items():
+        for flag in (True, np.True_):
+            with pytest.raises(TypeError, match="bool"):
+                build(flag)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build(4.0)
+        for d in (least - 1, -3):
+            with pytest.raises(ValueError, match=f"^d must be at least {least}, got {d}$"):
+                build(d)
+        A = build(np.int64(least))[0]
+        assert A.dimension == least
+    for flag in (True, np.True_):
+        with pytest.raises(TypeError, match="bool"):
+            gap_pair_system(flag)
+    assert gap_pair_system(np.float32(0.5))[0].eigenvalues.tolist() == [1.0, 0.5]
 
 
 def test_array_holders_compare_by_identity():
